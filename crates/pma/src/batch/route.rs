@@ -13,7 +13,6 @@
 //! the data-race argument trivial: routing only reads heads/counts, merges
 //! only write disjoint leaves.
 
-use crate::tree::ImplicitTree;
 use crate::{LeafStorage, PmaCore, PmaKey};
 use cpma_api::BatchOp;
 
@@ -63,12 +62,7 @@ pub(crate) fn route_batch<K: PmaKey, L: LeafStorage<K>, T: RouteKey<K>, const FO
     let f0 = core
         .first_nonempty_leaf()
         .expect("route_batch requires a non-empty PMA");
-    let ctx = RouteCtx {
-        core,
-        batch,
-        f0,
-        tree: core.tree(),
-    };
+    let ctx = RouteCtx { core, batch, f0 };
     ctx.recurse(0, batch.len(), 0, core.storage().num_leaves())
 }
 
@@ -77,8 +71,6 @@ struct RouteCtx<'a, K: PmaKey, L: LeafStorage<K>, T: RouteKey<K>, const FORM: u8
     batch: &'a [T],
     /// First non-empty leaf: elements below the global minimum route here.
     f0: usize,
-    #[allow(dead_code)]
-    tree: ImplicitTree,
 }
 
 impl<K: PmaKey, L: LeafStorage<K>, T: RouteKey<K>, const FORM: u8> RouteCtx<'_, K, L, T, FORM> {

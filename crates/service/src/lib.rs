@@ -5,8 +5,9 @@
 //! tiny length-prefixed, checksummed binary protocol ([`proto`]); decoded
 //! op streams funnel through [`cpma_store::Combiner::submit_many`], so the
 //! flat-combining layer — not an async runtime — does the batching, and
-//! reads are served wait-free from the combiner's published `Arc`
-//! snapshots. An optional durable mode logs every epoch to the WAL before
+//! reads are served from the combiner's `Arc` snapshots, which cover every
+//! applied epoch (a stale read waits for at most one in-flight epoch plus
+//! one clone). An optional durable mode logs every epoch to the WAL before
 //! acknowledging it ([`Service::serve_durable`]).
 //!
 //! Everything is `std`-only blocking I/O: an accept loop plus a bounded

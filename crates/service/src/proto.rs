@@ -163,8 +163,9 @@ pub enum Request {
     Remove { seq: u64, key: u64 },
     /// Linearized membership test (observes all earlier acked writes).
     Contains { seq: u64, key: u64 },
-    /// Batched membership against a wait-free snapshot taken after this
-    /// connection's earlier writes were acked.
+    /// Batched membership against a snapshot covering every epoch
+    /// applied before it, so this connection's earlier acked writes are
+    /// visible.
     ContainsBatch { seq: u64, keys: Vec<u64> },
     /// Sum of keys in `lo..=hi` against a snapshot.
     RangeSum { seq: u64, lo: u64, hi: u64 },

@@ -18,10 +18,12 @@
 //! linearized ops are funneled through [`Combiner::submit_many`] as **one**
 //! publication — the flat-combining layer does the batching that async
 //! frameworks usually fake. Snapshot reads (`ContainsBatch`, `RangeSum`,
-//! `Scan`) split those runs: the pending run is submitted first, so a read
-//! observes this connection's earlier acked writes (the combiner publishes
-//! the post-epoch snapshot before waking any waiter), then the read runs
-//! wait-free against the published `Arc` snapshot.
+//! `Scan`) split those runs: the pending run is submitted first, then the
+//! read runs against an `Arc` snapshot from [`Combiner::snapshot`], which
+//! covers every epoch applied before the call — so a read observes this
+//! connection's earlier acked writes. A current snapshot costs a pointer
+//! clone; a stale one waits for at most one in-flight epoch plus one clone
+//! of the set.
 //!
 //! ## Protocol errors
 //!
@@ -122,7 +124,8 @@ pub trait Engine: Send + Sync {
 }
 
 /// The production engine: ops combine through [`Combiner::submit_many`],
-/// reads run wait-free against the published `Arc` snapshot.
+/// reads run against a [`Combiner::snapshot`] covering every applied
+/// epoch.
 pub struct CombinerEngine<S> {
     combiner: Arc<Combiner<S>>,
 }

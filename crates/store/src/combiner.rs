@@ -22,9 +22,9 @@
 //!    single [`BatchSet::apply_batch_sorted`] call — one batch-parallel
 //!    update per epoch, and one structure traversal where the former
 //!    remove-batch + insert-batch split paid two;
-//! 4. publishes a fresh snapshot (every
-//!    [`CombinerConfig::snapshot_every`] epochs), then marks the epoch
-//!    done and wakes all waiters with their results.
+//! 4. records the epoch as applied, publishes a fresh snapshot only if a
+//!    reader is waiting for one (see below), then marks the epoch done
+//!    and wakes all waiters with their results.
 //!
 //! Leadership is re-elected per epoch by `try_lock`: whichever waiter
 //! finds the leader slot free next drives the next epoch, so the design
@@ -63,11 +63,17 @@
 //!
 //! # Snapshot readers
 //!
-//! [`Combiner::snapshot`] hands out the most recently published snapshot
-//! behind an `Arc` — readers never block behind a writing leader, and an
-//! acknowledged operation is visible in the next published snapshot
-//! (immediately on acknowledgement with `snapshot_every == 1`, the
-//! default, because the leader publishes *before* it wakes waiters).
+//! [`Combiner::snapshot`] returns an `Arc` snapshot that covers every
+//! epoch applied before the call — so an acknowledged operation is always
+//! visible to a later snapshot read. Snapshots are cut on *demand*, never
+//! per epoch: a write-only stream clones nothing. Each published snapshot
+//! carries the epoch count it was cloned at. A reader whose tag is current
+//! pays one pointer clone. A stale reader clones and publishes the set
+//! itself when the leader slot is free; otherwise it flags demand, and the
+//! leader publishes after its epoch (or before its window, if the flag
+//! landed just after the previous leader looked). A stale read therefore
+//! waits for at most one in-flight epoch plus one clone, and concurrent
+//! stale readers share that one clone.
 //!
 //! # Examples
 //!
@@ -95,7 +101,7 @@ use cpma_obs::{Counter, Gauge, Histogram, Unit};
 use cpma_persist::{recover, RecoveryReport, WalConfig, WalWriter};
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::{Arc, Condvar, Mutex, TryLockError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 
 /// One point operation submitted to a [`Combiner`].
@@ -105,8 +111,8 @@ pub enum Op<K> {
     Insert(K),
     /// Remove the key; acknowledged `true` iff the key was present.
     Remove(K),
-    /// Linearized membership test (reads that must observe all earlier
-    /// writes; use [`Combiner::snapshot`] for wait-free reads).
+    /// Linearized membership test (goes through the op stream; use
+    /// [`Combiner::snapshot`] for batch reads off the write path).
     Contains(K),
 }
 
@@ -239,6 +245,9 @@ pub struct CombinerStats {
     pub sealed_wait_cap: u64,
     /// Epochs sealed by an arrival-rate drop (adaptive policy only).
     pub sealed_rate_drop: u64,
+    /// Snapshots cloned and published (on reader demand; see the module
+    /// docs).
+    pub publishes: u64,
 }
 
 impl CombinerStats {
@@ -254,13 +263,14 @@ impl CombinerStats {
     /// One compact human-readable line (the bench drivers print this).
     pub fn summary(&self) -> String {
         format!(
-            "epochs={} ops={} mean_ops/epoch={:.1} sealed[ops_cap={} wait_cap={} rate_drop={}]",
+            "epochs={} ops={} mean_ops/epoch={:.1} sealed[ops_cap={} wait_cap={} rate_drop={}] publishes={}",
             self.epochs,
             self.ops,
             self.mean_ops_per_epoch(),
             self.sealed_ops_cap,
             self.sealed_wait_cap,
-            self.sealed_rate_drop
+            self.sealed_rate_drop,
+            self.publishes
         )
     }
 }
@@ -280,11 +290,14 @@ struct CombinerCounters {
     sealed_ops_cap: Counter,
     sealed_wait_cap: Counter,
     sealed_rate_drop: Counter,
+    publishes: Counter,
     /// Deterministic epoch-size distribution (unit: ops).
     ops_per_epoch: Histogram,
-    /// Timing-derived seal→publish latency (unit: ns); see the span in
+    /// Timing-derived seal→wake latency (unit: ns); see the span in
     /// `lead`.
     epoch_ns: Histogram,
+    /// Timing-derived snapshot clone latency (unit: ns); see `publish`.
+    publish_ns: Histogram,
 }
 
 impl CombinerCounters {
@@ -296,8 +309,10 @@ impl CombinerCounters {
             sealed_ops_cap: r.counter("combiner.sealed.ops_cap", Unit::Count),
             sealed_wait_cap: r.counter("combiner.sealed.wait_cap", Unit::Count),
             sealed_rate_drop: r.counter("combiner.sealed.rate_drop", Unit::Count),
+            publishes: r.counter("combiner.publishes", Unit::Count),
             ops_per_epoch: r.histogram("combiner.ops_per_epoch", Unit::Count),
             epoch_ns: r.histogram("combiner.epoch.ns", Unit::Nanos),
+            publish_ns: r.histogram("combiner.publish.ns", Unit::Nanos),
         }
     }
 
@@ -320,6 +335,7 @@ impl CombinerCounters {
             sealed_ops_cap: self.sealed_ops_cap.value(),
             sealed_wait_cap: self.sealed_wait_cap.value(),
             sealed_rate_drop: self.sealed_rate_drop.value(),
+            publishes: self.publishes.value(),
         }
     }
 }
@@ -345,13 +361,9 @@ pub struct CombinerConfig {
     /// up while the previous epoch applies). A non-zero wait trades
     /// latency for bigger batches on sparse traffic.
     pub window_wait: Duration,
-    /// Publish a snapshot every this many epochs. 1 (the default) makes
-    /// every acknowledged operation immediately snapshot-visible; larger
-    /// values trade snapshot freshness for less cloning on write-heavy
-    /// workloads.
-    pub snapshot_every: u64,
-    /// How long a waiter sleeps before re-checking whether the leader
-    /// slot has freed up (bounds leader-handoff latency).
+    /// How long a waiter — a submitter or a stale snapshot reader —
+    /// sleeps before re-checking whether the leader slot has freed up
+    /// (bounds leader-handoff latency).
     pub retry_wait: Duration,
 }
 
@@ -361,7 +373,6 @@ impl Default for CombinerConfig {
             policy: WindowPolicy::Fixed,
             window_ops: 64,
             window_wait: Duration::ZERO,
-            snapshot_every: 1,
             retry_wait: Duration::from_micros(50),
         }
     }
@@ -382,9 +393,6 @@ impl CombinerConfig {
         if self.window_ops < 1 {
             return Err(ConfigError::new("window_ops", "must be at least 1"));
         }
-        if self.snapshot_every < 1 {
-            return Err(ConfigError::new("snapshot_every", "must be at least 1"));
-        }
         if let WindowPolicy::Adaptive(a) = &self.policy {
             a.check()?;
         }
@@ -399,7 +407,7 @@ struct EpochState<K> {
     /// Set by the leader when it drains the buffer; submitters that find
     /// their epoch sealed re-route to the freshly opened one.
     sealed: bool,
-    /// Set (with `results`) after the batch is applied and published.
+    /// Set (with `results`) after the batch is applied.
     done: bool,
     /// `results[i]` answers `ops[i]`; valid once `done`.
     results: Vec<bool>,
@@ -461,6 +469,43 @@ struct Core<S> {
     ewma_seed_ns: f64,
 }
 
+/// Nothing panics while holding the `published` lock (clones happen
+/// outside it), so a poisoned lock is a bug in this module.
+const PUBLISHED_POISONED: &str = "combiner snapshot state poisoned";
+
+/// What snapshot readers see, plus the bookkeeping that decides when a
+/// fresh snapshot must be cut. One short lock guards it all, so a reader
+/// compares its tag against the applied count atomically.
+struct Published<S> {
+    /// The last published snapshot; `None` until the first read.
+    snap: Option<Arc<S>>,
+    /// `Core::epochs_applied` when `snap` was cloned.
+    tag: u64,
+    /// Mirror of `Core::epochs_applied`, stored by the leader before it
+    /// wakes the epoch's waiters.
+    applied: u64,
+    /// Set by a stale reader that found the leader slot taken; the next
+    /// leader to look publishes. Cleared by every publish.
+    demand: bool,
+}
+
+impl<S> Published<S> {
+    fn new(applied: u64) -> Self {
+        Self {
+            snap: None,
+            tag: 0,
+            applied,
+            demand: false,
+        }
+    }
+
+    /// The published snapshot and its tag, if it covers `want` epochs.
+    fn covering(&self, want: u64) -> Option<(Arc<S>, u64)> {
+        let snap = self.snap.as_ref().filter(|_| self.tag >= want)?;
+        Some((snap.clone(), self.tag))
+    }
+}
+
 /// A flat-combining concurrent front-end over any batch-parallel set.
 ///
 /// Share it by reference (or `Arc`) across threads; the module header
@@ -490,7 +535,9 @@ struct Core<S> {
 pub struct Combiner<S, K: SetKey = u64> {
     core: Mutex<Core<S>>,
     current: Mutex<Arc<Epoch<K>>>,
-    published: Mutex<Arc<S>>,
+    published: Mutex<Published<S>>,
+    /// Stale readers wait here for the next publish.
+    publish_cv: Condvar,
     cfg: CombinerConfig,
     /// Open-epoch occupancy (`combiner.queue_depth`): set by every
     /// enqueue, zeroed when the leader seals. Lives outside `Core` so the
@@ -518,7 +565,8 @@ where
             panic!("{e}");
         }
         Self {
-            published: Mutex::new(Arc::new(set.clone())),
+            published: Mutex::new(Published::new(0)),
+            publish_cv: Condvar::new(),
             core: Mutex::new(Core {
                 set,
                 epochs_applied: 0,
@@ -544,20 +592,94 @@ where
     }
 
     /// Linearized membership test (goes through the op stream; for
-    /// wait-free reads use [`Combiner::snapshot`]).
+    /// batch reads off the write path use [`Combiner::snapshot`]).
     pub fn contains(&self, key: K) -> bool {
         self.submit(Op::Contains(key))
     }
 
-    /// The most recently published snapshot. Never blocks behind a
-    /// writing leader — only a pointer clone under a short lock.
+    /// A snapshot covering every epoch applied before the call, so every
+    /// operation acknowledged before it is visible. A pointer clone when
+    /// the published snapshot is current; otherwise this waits for at
+    /// most one in-flight epoch plus one clone of the set, shared with
+    /// any other stale reader (see the module docs).
     pub fn snapshot(&self) -> Arc<S> {
-        self.published.lock().unwrap().clone()
+        self.tagged_snapshot().0
+    }
+
+    /// [`Combiner::snapshot`] plus the epoch count the snapshot was
+    /// cloned at (at least the applied count when the call began).
+    fn tagged_snapshot(&self) -> (Arc<S>, u64) {
+        let mut p = self.published();
+        let want = p.applied;
+        loop {
+            if let Some(hit) = p.covering(want) {
+                return hit;
+            }
+            drop(p);
+            match self.core.try_lock() {
+                Ok(core) => {
+                    // Another stale reader may have published while we
+                    // took the slot; its snapshot covers `want` too.
+                    if let Some(hit) = self.published().covering(want) {
+                        return hit;
+                    }
+                    return self.publish(&core);
+                }
+                Err(TryLockError::WouldBlock) => {}
+                Err(TryLockError::Poisoned(e)) => panic!("combiner poisoned: {e}"),
+            }
+            // A leader (or a publishing reader) holds the slot: flag
+            // demand and wait for its publish. On timeout, loop to
+            // contend for the slot again.
+            p = self.published();
+            if p.covering(want).is_none() {
+                p.demand = true;
+                p = self
+                    .publish_cv
+                    .wait_timeout(p, self.cfg.retry_wait)
+                    .expect(PUBLISHED_POISONED)
+                    .0;
+            }
+        }
+    }
+
+    /// Clone the authoritative set, publish the clone tagged with its
+    /// epoch count, clear the demand flag and wake stale readers. The
+    /// caller holds the leader slot.
+    fn publish(&self, core: &Core<S>) -> (Arc<S>, u64) {
+        let snap = {
+            let _span = cpma_obs::span_with(&core.stats.publish_ns, "combiner.publish");
+            Arc::new(core.set.clone())
+        };
+        core.stats.publishes.inc();
+        let mut p = self.published();
+        let old = p.snap.replace(snap.clone());
+        p.tag = core.epochs_applied;
+        p.demand = false;
+        drop(p);
+        self.publish_cv.notify_all();
+        // The superseded snapshot may be the last reference to a full
+        // copy of the set; free it outside the lock.
+        drop(old);
+        (snap, core.epochs_applied)
+    }
+
+    /// Publish iff a stale reader has flagged demand since the last
+    /// publish.
+    fn publish_if_demanded(&self, core: &Core<S>) {
+        if self.published().demand {
+            self.publish(core);
+        }
+    }
+
+    fn published(&self) -> MutexGuard<'_, Published<S>> {
+        self.published.lock().expect(PUBLISHED_POISONED)
     }
 
     /// Epochs applied so far (each applied exactly one combined batch).
+    /// Never waits for an in-flight epoch.
     pub fn epochs_applied(&self) -> u64 {
-        self.core.lock().unwrap().epochs_applied
+        self.published().applied
     }
 
     /// A copy of the combining statistics so far. Taken under the leader
@@ -767,11 +889,14 @@ where
         }
     }
 
-    /// Drive one epoch: window, seal, replay, apply, publish, wake, then
-    /// release the leader slot and hand leadership to a waiter of the
-    /// next epoch if one is already pending.
+    /// Drive one epoch: window, seal, replay, apply, publish on demand,
+    /// wake, then release the leader slot and hand leadership to a
+    /// waiter of the next epoch if one is already pending.
     fn lead(&self, mut guard: std::sync::MutexGuard<'_, Core<S>>) {
         let core = &mut *guard;
+        // A reader that flagged demand just after the previous leader
+        // looked is served before this epoch, not after it.
+        self.publish_if_demanded(core);
         let epoch = self.current.lock().unwrap().clone();
 
         // Combining window: hold the epoch open so concurrent submitters
@@ -794,8 +919,8 @@ where
         *self.current.lock().unwrap() = Arc::new(Epoch::new());
         self.queue_depth.set(0);
 
-        // Timing span over the epoch's seal-to-publish work (replay,
-        // WAL append, batch apply, checkpoint, publication).
+        // Timing span over the epoch's seal-to-wake work (replay, WAL
+        // append, batch apply, checkpoint, publication on demand).
         let mut epoch_span = cpma_obs::span_with(&core.stats.epoch_ns, "combiner.epoch");
         epoch_span.set_items(ops.len() as u64);
 
@@ -889,11 +1014,11 @@ where
             }
         }
 
-        // Publish before waking: an acknowledged op is snapshot-visible.
-        if core.epochs_applied.is_multiple_of(self.cfg.snapshot_every) {
-            let snap = Arc::new(core.set.clone());
-            *self.published.lock().unwrap() = snap;
-        }
+        // Mirror the applied count before waking: a snapshot taken after
+        // an acknowledgement must cover its epoch. Clone only for a
+        // reader already waiting.
+        self.published().applied = core.epochs_applied;
+        self.publish_if_demanded(core);
         drop(epoch_span);
 
         let mut st = epoch.state.lock().unwrap();
@@ -941,7 +1066,8 @@ where
         let (set, report) = recover::<K, S>(&wal.dir)?;
         let writer = WalWriter::open(wal, report.last_seq + 1)?;
         let combiner = Self {
-            published: Mutex::new(Arc::new(set.clone())),
+            published: Mutex::new(Published::new(report.last_seq)),
+            publish_cv: Condvar::new(),
             core: Mutex::new(Core {
                 set,
                 epochs_applied: report.last_seq,
@@ -997,6 +1123,7 @@ where
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     #[test]
     fn single_thread_ops_match_oracle() {
@@ -1143,20 +1270,140 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_every_throttles_publication() {
+    fn write_only_epochs_never_publish() {
+        let c: Combiner<BTreeSet<u64>> = Combiner::new(BTreeSet::new());
+        for k in 0..50u64 {
+            assert!(c.insert(k));
+        }
+        assert_eq!(c.insert_many(&[100, 101, 102]), 3);
+        let stats = c.stats();
+        assert_eq!((stats.epochs, stats.publishes), (51, 0));
+        // The first read clones once; a read with no epoch since is a
+        // pointer clone of the same snapshot.
+        let first = c.snapshot();
+        assert_eq!(first.len(), 53);
+        assert!(Arc::ptr_eq(&first, &c.snapshot()));
+        assert_eq!(c.stats().publishes, 1);
+        // Writes after a read again publish nothing until the next read.
+        c.remove(0);
+        c.remove(1);
+        assert_eq!(c.stats().publishes, 1);
+        assert_eq!(c.snapshot().len(), 51);
+        assert_eq!(c.stats().publishes, 2);
+    }
+
+    #[test]
+    fn concurrent_stale_readers_share_one_publish() {
+        const READERS: usize = 8;
+        let c: Combiner<BTreeSet<u64>> = Combiner::new(BTreeSet::new());
+        assert_eq!(c.insert_many(&[1, 2, 3]), 3);
+        let start = std::sync::Barrier::new(READERS);
+        let snaps: Vec<Arc<BTreeSet<u64>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..READERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        c.snapshot()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for snap in &snaps {
+            assert!(
+                Arc::ptr_eq(snap, &snaps[0]),
+                "every reader shares one clone"
+            );
+            assert_eq!(snap.len(), 3);
+        }
+        assert_eq!(c.stats().publishes, 1);
+    }
+
+    #[test]
+    fn stale_reader_behind_a_leader_is_served_by_its_publish() {
+        // A retry timeout beyond the test's patience: the reader must
+        // return through the leader's publish, not by re-polling.
         let cfg = CombinerConfig {
-            snapshot_every: 4,
-            window_wait: Duration::ZERO,
+            retry_wait: Duration::from_secs(20),
             ..CombinerConfig::default()
         };
         let c: Combiner<BTreeSet<u64>> = Combiner::with_config(BTreeSet::new(), cfg);
-        for k in 0..3u64 {
-            c.insert(k);
-        }
-        // 3 epochs applied, none published yet.
-        assert_eq!(c.snapshot().len(), 0);
-        c.insert(3);
-        assert_eq!(c.snapshot().len(), 4);
+        assert!(c.insert(5));
+        let started = Instant::now();
+        let leader_slot = c.core.lock().unwrap();
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| c.tagged_snapshot());
+            while !c.published().demand {
+                assert!(
+                    started.elapsed() < Duration::from_secs(10),
+                    "no demand flagged"
+                );
+                std::thread::yield_now();
+            }
+            // Drive an (empty) epoch from the held slot.
+            c.lead(leader_slot);
+            let (snap, tag) = reader.join().unwrap();
+            assert!(snap.contains(&5));
+            assert!(tag >= 1);
+        });
+        assert!(started.elapsed() < Duration::from_secs(10));
+        assert_eq!(c.stats().publishes, 1);
+        assert_eq!(c.epochs_applied(), 2);
+    }
+
+    #[test]
+    fn racing_reader_snapshot_covers_every_applied_epoch() {
+        const WRITERS: u64 = 2;
+        const OPS: u64 = 400;
+        let c: Combiner<BTreeSet<u64>> = Combiner::new(BTreeSet::new());
+        // acked[w] = keys writer `w` has had acknowledged, in order.
+        let acked: Vec<AtomicU64> = (0..WRITERS).map(|_| AtomicU64::new(0)).collect();
+        let done = AtomicBool::new(false);
+        let key = |w: u64, i: u64| (w << 32) | i;
+        let reads = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let (c, acked) = (&c, &acked);
+                    scope.spawn(move || {
+                        for i in 0..OPS {
+                            assert!(c.insert(key(w, i)));
+                            acked[w as usize].store(i + 1, Ordering::SeqCst);
+                        }
+                    })
+                })
+                .collect();
+            let reader = scope.spawn(|| {
+                let mut reads = 0u64;
+                while !done.load(Ordering::SeqCst) {
+                    let seen: Vec<u64> = acked.iter().map(|a| a.load(Ordering::SeqCst)).collect();
+                    let applied = c.epochs_applied();
+                    let (snap, tag) = c.tagged_snapshot();
+                    assert!(tag >= applied, "snapshot tag {tag} < applied {applied}");
+                    for (w, &n) in seen.iter().enumerate() {
+                        if n > 0 {
+                            let last = key(w as u64, n - 1);
+                            assert!(snap.contains(&last), "acked key {last:#x} not visible");
+                        }
+                    }
+                    assert!(snap.len() as u64 >= seen.iter().sum::<u64>());
+                    reads += 1;
+                }
+                reads
+            });
+            // Stop the reader once the writers finish (or fail).
+            let written: Vec<_> = writers.into_iter().map(|h| h.join()).collect();
+            done.store(true, Ordering::SeqCst);
+            let reads = reader.join().unwrap();
+            for w in written {
+                w.unwrap();
+            }
+            reads
+        });
+        assert!(reads > 0);
+        assert_eq!(c.snapshot().len() as u64, WRITERS * OPS);
+        // Each stale read causes at most one publish; none come from
+        // the writers themselves.
+        assert!(c.stats().publishes <= reads + 1);
     }
 
     #[test]
@@ -1170,16 +1417,6 @@ mod tests {
             .unwrap_err()
             .field,
             "window_ops"
-        );
-        assert_eq!(
-            CombinerConfig {
-                snapshot_every: 0,
-                ..CombinerConfig::default()
-            }
-            .check()
-            .unwrap_err()
-            .field,
-            "snapshot_every"
         );
         assert_eq!(
             CombinerConfig {

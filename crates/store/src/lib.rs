@@ -28,8 +28,9 @@
 //!   its individual result. The combining window is governed by
 //!   [`WindowPolicy`] — static thresholds or the adaptive arrival-rate
 //!   tracker — with always-on [`CombinerStats`] recording epoch sizes
-//!   and seal reasons. Readers run against a swap-published snapshot
-//!   ([`Combiner::snapshot`]) and never block behind writers.
+//!   and seal reasons. Readers run against a snapshot
+//!   ([`Combiner::snapshot`]) that covers every applied epoch; it is cut
+//!   on reader demand, so write-only traffic never clones the set.
 //!
 //! Stacked as `Combiner<ShardedSet<Cpma>>`, point operations from many
 //! threads become sorted batches, and those batches fan out over shards —

@@ -2,7 +2,7 @@
 //! canonical contract over real CPMA/PMA backends at several shard
 //! counts, and the combiner must linearize concurrent mixed traffic —
 //! every acknowledged operation matching a per-thread oracle and visible
-//! in the next published snapshot.
+//! to every later snapshot.
 
 use cpma_api::conformance::assert_ordered_set_contract;
 use cpma_api::testkit::Rng;
@@ -147,8 +147,8 @@ fn sharded_set_is_transparent_at_any_shard_count() {
 /// Each writer owns a disjoint key stripe (thread id in the high bits),
 /// so its per-op acknowledgements are checkable against a thread-local
 /// model even under full concurrency, and an acknowledged write must be
-/// visible in the next published snapshot (`snapshot_every == 1`
-/// publishes before acknowledging).
+/// visible to every later snapshot (a snapshot covers all applied
+/// epochs).
 fn striped_key(thread: u64, rng: &mut Rng) -> u64 {
     (thread << 32) | rng.bits(10)
 }
@@ -166,8 +166,7 @@ fn combiner_linearizes_concurrent_mixed_traffic() {
     let store: Combiner<ShardedSet<Cpma, 4>> = Combiner::with_config(BatchSet::new_set(), cfg);
 
     let models: Vec<BTreeSet<u64>> = std::thread::scope(|scope| {
-        // A snapshot reader runs throughout: wait-free, internally
-        // consistent views (strictly ascending contents, matching len).
+        // A snapshot reader runs throughout: internally consistent views (strictly ascending contents, matching len).
         let reader = scope.spawn(|| {
             for _ in 0..200 {
                 let snap = store.snapshot();

@@ -6,8 +6,8 @@
 //! Several ingest threads stream bursts of event IDs into one
 //! `Combiner<ShardedSet<Cpma>>`: the flat-combining leader folds
 //! concurrent bursts into one batch-parallel CPMA update per epoch, and
-//! an analytics thread runs range scans against swap-published snapshots
-//! without ever blocking the writers. A periodic expiry pass batch-removes
+//! an analytics thread runs range scans against demand-published
+//! snapshots that cover every acknowledged burst. A periodic expiry pass batch-removes
 //! old events through the same front-end.
 //!
 //! A final durability phase checkpoints the ingested store, streams more
@@ -41,8 +41,8 @@ fn main() {
     // Self-tuning store: the adaptive window seals each combining epoch
     // when the burst wave ends (no arrival-rate knob to guess), the
     // shard count autotunes between 1 and 64 as the store fills, and
-    // snapshots publish every epoch so every acknowledged burst is
-    // immediately visible to the analytics reader.
+    // every snapshot covers all epochs applied before it, so every
+    // acknowledged burst is visible to the analytics reader.
     let store: Combiner<ShardedSet<Cpma, 8, 1, 64>> =
         Combiner::with_config(BatchSet::new_set(), CombinerConfig::adaptive());
     let ingested = AtomicUsize::new(0);
@@ -96,8 +96,8 @@ fn main() {
                 println!("expiry: removed {expired_total} old events");
             });
 
-            // --- analytics: trailing-window scans on snapshots; never blocks
-            // the ingest path.
+            // --- analytics: trailing-window scans on snapshots; a stale
+            // snapshot costs one clone, never a write-path stall.
             let reports = scope.spawn(|| {
             let mut reports = 0u32;
             while !done.load(Ordering::Acquire) {

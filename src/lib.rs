@@ -57,7 +57,7 @@
 //!   (range-partitioned shards, batches split at learned splitters and
 //!   applied shard-parallel, shard count autotuned from its
 //!   [`store::RebalanceStats`]) and [`store::Combiner`] (flat-combining
-//!   writer aggregation with swap-published snapshots and fixed or
+//!   writer aggregation with demand-published snapshots and fixed or
 //!   adaptive combining windows, [`store::WindowPolicy`]), which together
 //!   turn live multi-threaded traffic into the batch-parallel updates the
 //!   paper's structures are built for — `docs/ARCHITECTURE.md` maps the
@@ -72,7 +72,7 @@
 //!   ([`service::Service`]) speaking a length-prefixed checksummed binary
 //!   protocol, funneling per-connection op pipelines through
 //!   [`store::Combiner::submit_many`] (optionally WAL-backed via
-//!   [`service::Service::serve_durable`]) and serving reads from published
+//!   [`service::Service::serve_durable`]) and serving reads from combiner
 //!   snapshots, plus the blocking loopback [`service::Client`];
 //! * [`workloads`] — deterministic generators for every input distribution
 //!   in the paper's evaluation;

@@ -127,11 +127,11 @@ fn cpma_full_rebuild_regime_under_full_pool() {
 fn store_combiner_oversubscribed_multi_writers() {
     // The cpma-store front-end under more writer threads than any CI
     // runner has cores, on top of an already-oversubscribed internal
-    // pool: preemption inside combining epochs, snapshot publication,
-    // and the sharded parallel batch apply all race for the same few
-    // cores. Every writer owns a key stripe, so each acknowledgement is
-    // oracle-checked, and every acknowledged write must be visible in
-    // the next published snapshot.
+    // pool: preemption inside combining epochs, demand-driven snapshot
+    // publication, and the sharded parallel batch apply all race for the
+    // same few cores. Every writer owns a key stripe, so each
+    // acknowledgement is oracle-checked, and every acknowledged write
+    // must be visible to every later snapshot.
     const WRITERS: u64 = 16;
     const OPS_PER_WRITER: usize = 25_000;
 
