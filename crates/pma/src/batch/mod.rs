@@ -60,7 +60,7 @@ fn serial_merge_cutoff() -> usize {
     (8192 / rayon::current_num_threads().max(1)).max(256)
 }
 
-impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
+impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// Insert a batch of keys; sorts and deduplicates in place unless
     /// `sorted` promises the batch is already sorted and unique. Returns the
     /// number of keys that were not already present (the artifact's

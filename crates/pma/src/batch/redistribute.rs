@@ -33,14 +33,15 @@ struct RangeJob<K> {
 }
 
 /// Redistribute the given disjoint nodes (sorted by start).
-pub(crate) fn redistribute_ranges<K: PmaKey, L: LeafStorage<K>, const FORM: u8>(
-    core: &mut PmaCore<K, L, FORM>,
+pub(crate) fn redistribute_ranges<K: PmaKey, L: LeafStorage<K>>(
+    core: &mut PmaCore<K, L>,
     ranges: &[Node],
 ) {
     if ranges.is_empty() {
         // Even with nothing to redistribute, the preceding merge phase may
-        // have filled or emptied leaves; the read index must still refresh.
-        core.rebuild_read_index();
+        // have filled or emptied leaves; the occupancy bitset must still
+        // refresh.
+        core.rebuild_occ();
         return;
     }
     debug_assert!(ranges.windows(2).all(|w| w[0].end <= w[1].start));
@@ -139,9 +140,8 @@ pub(crate) fn redistribute_ranges<K: PmaKey, L: LeafStorage<K>, const FORM: u8>(
     }
 
     // Redistribution moves elements between leaves wholesale, so refresh the
-    // occupancy bitset and the auxiliary head index in one pass here rather
-    // than in every caller.
-    core.rebuild_read_index();
+    // occupancy bitset in one pass here rather than in every caller.
+    core.rebuild_occ();
 
     // Hybrid split plans are estimate-driven and may leave a tail leaf
     // unfit; escalate to a capacity grow, which re-spreads everything and

@@ -54,8 +54,8 @@ fn serial_cutoff() -> usize {
 
 /// Compute the destination segments for a batch sorted strictly by key.
 /// The PMA must be non-empty. Assignments come back ordered by leaf.
-pub(crate) fn route_batch<K: PmaKey, L: LeafStorage<K>, T: RouteKey<K>, const FORM: u8>(
-    core: &PmaCore<K, L, FORM>,
+pub(crate) fn route_batch<K: PmaKey, L: LeafStorage<K>, T: RouteKey<K>>(
+    core: &PmaCore<K, L>,
     batch: &[T],
 ) -> Vec<Assignment> {
     debug_assert!(!core.is_empty());
@@ -66,14 +66,14 @@ pub(crate) fn route_batch<K: PmaKey, L: LeafStorage<K>, T: RouteKey<K>, const FO
     ctx.recurse(0, batch.len(), 0, core.storage().num_leaves())
 }
 
-struct RouteCtx<'a, K: PmaKey, L: LeafStorage<K>, T: RouteKey<K>, const FORM: u8> {
-    core: &'a PmaCore<K, L, FORM>,
+struct RouteCtx<'a, K: PmaKey, L: LeafStorage<K>, T: RouteKey<K>> {
+    core: &'a PmaCore<K, L>,
     batch: &'a [T],
     /// First non-empty leaf: elements below the global minimum route here.
     f0: usize,
 }
 
-impl<K: PmaKey, L: LeafStorage<K>, T: RouteKey<K>, const FORM: u8> RouteCtx<'_, K, L, T, FORM> {
+impl<K: PmaKey, L: LeafStorage<K>, T: RouteKey<K>> RouteCtx<'_, K, L, T> {
     /// Segment of `self.batch[blo..bhi)` destined for leaf `t`:
     /// keys in `[head(t), head(next non-empty leaf))`, extended down to
     /// −∞ when `t` is the first non-empty leaf.

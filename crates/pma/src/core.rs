@@ -24,16 +24,6 @@
 //! global minimum route to the first non-empty leaf), and deletes that
 //! empty a leaf keep its old head — both preserve (1)-(3) without
 //! cross-leaf coordination, which is what makes the batch phases race-free.
-//!
-//! # Head layouts
-//!
-//! *How* the rightmost head ≤ key is found is a compile-time choice: the
-//! `FORM` const parameter selects a [`HeadForm`] — the flat in-place
-//! binary search (the default), a separate flat array searched
-//! branch-free, or the cache-conscious Eytzinger / B-ary tree layouts,
-//! whose auxiliary arrays are rebuilt after every mutation (see
-//! `docs/ARCHITECTURE.md` for the layouts and `docs/TUNING.md` for when
-//! each wins).
 
 use crate::density::DensityBounds;
 use crate::leaf::SharedLeaves;
@@ -43,64 +33,6 @@ use crate::{stats, CompressedLeaves, LeafStorage, PmaKey, UncompressedLeaves};
 use cpma_api::ConfigError;
 use rayon::prelude::*;
 use std::marker::PhantomData;
-
-/// The head-layout menu (the artifact's `HeadForm`): how `dest_leaf`
-/// answers "rightmost head ≤ key". Selected at compile time through the
-/// `FORM` const parameter of [`PmaCore`]; values are the `u8` the const
-/// parameter takes (`PmaCore<K, L, { HeadForm::Eytzinger as u8 }>`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum HeadForm {
-    /// Binary search directly over the heads stored in the leaf layout —
-    /// no auxiliary array, no rebuild cost (the historical default).
-    InPlace = 0,
-    /// A packed copy of the head array searched with a branchless binary
-    /// search. One extra array, trivially rebuilt.
-    Linear = 1,
-    /// Heads in BFS (Eytzinger) order: the first few levels of the
-    /// implicit tree share cache lines and deeper levels are prefetched
-    /// four levels ahead.
-    Eytzinger = 2,
-    /// A static B-ary search tree with 8 keys (one cache line) per node,
-    /// searched with a branchless per-node rank.
-    BNary = 3,
-}
-
-impl HeadForm {
-    /// The form a `FORM` const parameter denotes (panics on out-of-range
-    /// values at monomorphization time, since callers only reach this
-    /// through `PmaCore::HEAD_FORM`).
-    pub const fn from_u8(v: u8) -> Self {
-        match v {
-            0 => Self::InPlace,
-            1 => Self::Linear,
-            2 => Self::Eytzinger,
-            3 => Self::BNary,
-            _ => panic!("HeadForm const parameter must be 0..=3"),
-        }
-    }
-
-    /// Short lowercase name (used by benches and snapshots' error text).
-    pub const fn name(self) -> &'static str {
-        match self {
-            Self::InPlace => "inplace",
-            Self::Linear => "linear",
-            Self::Eytzinger => "eytzinger",
-            Self::BNary => "bnary",
-        }
-    }
-}
-
-/// The auxiliary search structure backing a non-`InPlace` [`HeadForm`].
-/// Rebuilt whenever heads may have changed (redistributes, rebuilds, the
-/// tail of every point update and batch).
-#[derive(Clone)]
-pub(crate) enum HeadIndex<K> {
-    None,
-    Linear(Vec<K>),
-    Eytzinger(search::Eytzinger<K>),
-    BNary(search::BNary<K>),
-}
 
 /// Per-leaf codec selection policy for hybrid leaf storages
 /// ([`crate::CompressedLeaves`]). Leaf storages without alternative
@@ -283,31 +215,12 @@ pub type Pma<K = u64> = PmaCore<K, UncompressedLeaves<K>>;
 /// The batch-parallel Compressed PMA (delta + byte codes; §5).
 pub type Cpma = PmaCore<u64, CompressedLeaves>;
 
-/// Uncompressed PMA with the branchless flat head copy.
-pub type PmaLinear<K = u64> = PmaCore<K, UncompressedLeaves<K>, { HeadForm::Linear as u8 }>;
-
-/// Uncompressed PMA with Eytzinger-ordered heads.
-pub type PmaEytzinger<K = u64> = PmaCore<K, UncompressedLeaves<K>, { HeadForm::Eytzinger as u8 }>;
-
-/// Uncompressed PMA with the B-ary head tree.
-pub type PmaBNary<K = u64> = PmaCore<K, UncompressedLeaves<K>, { HeadForm::BNary as u8 }>;
-
-/// CPMA with the branchless flat head copy.
-pub type CpmaLinear = PmaCore<u64, CompressedLeaves, { HeadForm::Linear as u8 }>;
-
-/// CPMA with Eytzinger-ordered heads.
-pub type CpmaEytzinger = PmaCore<u64, CompressedLeaves, { HeadForm::Eytzinger as u8 }>;
-
-/// CPMA with the B-ary head tree.
-pub type CpmaBNary = PmaCore<u64, CompressedLeaves, { HeadForm::BNary as u8 }>;
-
-/// Engine over generic leaf storage. See module docs; `FORM` is a
-/// [`HeadForm`] discriminant selecting the head layout.
+/// Engine over generic leaf storage. See module docs.
 ///
 /// `Clone` (for `Clone` leaf storages) is what snapshot publishers like
 /// `cpma-store`'s combiner build on.
 #[derive(Clone)]
-pub struct PmaCore<K: PmaKey, L: LeafStorage<K>, const FORM: u8 = 0> {
+pub struct PmaCore<K: PmaKey, L: LeafStorage<K>> {
     pub(crate) storage: L,
     pub(crate) cfg: PmaConfig,
     /// Number of stored elements.
@@ -320,20 +233,16 @@ pub struct PmaCore<K: PmaKey, L: LeafStorage<K>, const FORM: u8 = 0> {
     /// One bit per leaf: is it non-empty? Lets routing skip empty runs a
     /// word (64 leaves) at a time instead of leaf-by-leaf.
     pub(crate) occ: Vec<u64>,
-    /// Auxiliary head array for non-`InPlace` forms.
-    pub(crate) aux: HeadIndex<K>,
     pub(crate) _marker: PhantomData<K>,
 }
 
-impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> Default for PmaCore<K, L, FORM> {
+impl<K: PmaKey, L: LeafStorage<K>> Default for PmaCore<K, L> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
-    /// The head layout this instantiation uses.
-    pub const HEAD_FORM: HeadForm = HeadForm::from_u8(FORM);
+impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// Empty structure with default configuration.
     pub fn new() -> Self {
         Self::with_config(PmaConfig::default())
@@ -352,10 +261,9 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
             units: 0,
             batch_stats: stats::PmaCounters::new(),
             occ: Vec::new(),
-            aux: HeadIndex::None,
             _marker: PhantomData,
         };
-        this.rebuild_read_index();
+        this.rebuild_occ();
         this
     }
 
@@ -458,7 +366,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
             self.units = units;
             self.len = elems.len();
             self.batch_stats.full_rebuilds.inc();
-            self.rebuild_read_index();
+            self.rebuild_occ();
             return;
         }
     }
@@ -500,7 +408,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
     }
 
     // ------------------------------------------------------------------
-    // Occupancy bitset + auxiliary head index
+    // Occupancy bitset
     // ------------------------------------------------------------------
 
     #[inline]
@@ -568,31 +476,9 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
         }
     }
 
-    /// Rebuild the auxiliary head array from the current heads (a no-op
-    /// for `InPlace`). Must run after anything that may move a head.
-    pub(crate) fn rebuild_head_index(&mut self) {
-        if matches!(Self::HEAD_FORM, HeadForm::InPlace) {
-            self.aux = HeadIndex::None;
-            return;
-        }
-        let n = self.storage.num_leaves();
-        debug_assert!(n < u32::MAX as usize, "head index ranks are u32");
-        let mut heads = Vec::with_capacity(n);
-        for l in 0..n {
-            heads.push(self.storage.head(l));
-        }
-        self.aux = match Self::HEAD_FORM {
-            HeadForm::InPlace => unreachable!(),
-            HeadForm::Linear => HeadIndex::Linear(heads),
-            HeadForm::Eytzinger => HeadIndex::Eytzinger(search::Eytzinger::build(&heads, K::MAX)),
-            HeadForm::BNary => HeadIndex::BNary(search::BNary::build(&heads, K::MAX)),
-        };
-    }
-
-    /// Recompute everything `dest_leaf` routes through — the occupancy
-    /// bitset and the auxiliary head array. Called by rebuilds, snapshot
-    /// loads, and the tail of every batch pipeline.
-    pub(crate) fn rebuild_read_index(&mut self) {
+    /// Recompute the occupancy bitset `dest_leaf` routes through. Called
+    /// by rebuilds, snapshot loads, and the tail of every batch pipeline.
+    pub(crate) fn rebuild_occ(&mut self) {
         let n = self.storage.num_leaves();
         self.occ = vec![0u64; n.div_ceil(64).max(1)];
         for leaf in 0..n {
@@ -600,54 +486,28 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
                 self.occ_set(leaf);
             }
         }
-        self.rebuild_head_index();
-    }
-
-    /// Bytes held by the read index (occupancy words + auxiliary heads).
-    fn read_index_bytes(&self) -> usize {
-        let aux = match &self.aux {
-            HeadIndex::None => 0,
-            HeadIndex::Linear(h) => std::mem::size_of_val(h.as_slice()),
-            HeadIndex::Eytzinger(e) => {
-                std::mem::size_of_val(e.keys.as_slice()) + std::mem::size_of_val(e.rank.as_slice())
-            }
-            HeadIndex::BNary(b) => {
-                std::mem::size_of_val(b.keys.as_slice())
-                    + std::mem::size_of_val(b.rank.as_slice())
-                    + b.fill.len()
-            }
-        };
-        std::mem::size_of_val(self.occ.as_slice()) + aux
     }
 
     // ------------------------------------------------------------------
     // Search
     // ------------------------------------------------------------------
 
-    /// Count of heads ≤ `key` (the partition point the routing walk needs),
-    /// answered through the layout `FORM` selects.
+    /// Count of heads ≤ `key` (the partition point the routing walk
+    /// needs): a binary search over the storage's head array.
     #[inline]
     pub(crate) fn head_partition(&self, key: K) -> usize {
         let n = self.storage.num_leaves();
         stats::record_read(((usize::BITS - n.leading_zeros()) as usize) * K::BYTES);
-        match &self.aux {
-            HeadIndex::Linear(heads) => search::upper_bound(heads, key),
-            HeadIndex::Eytzinger(e) => e.partition(key),
-            HeadIndex::BNary(b) => b.partition(key, n),
-            HeadIndex::None => {
-                // In-place binary search over the heads in leaf storage.
-                let (mut lo, mut hi) = (0usize, n);
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    if self.storage.head(mid) <= key {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                lo
+        let (mut lo, mut hi) = (0usize, n);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.storage.head(mid) <= key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
         }
+        lo
     }
 
     /// First leaf with a nonzero count, if any.
@@ -712,16 +572,6 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
         order
     }
 
-    /// The head of `leaf`, answered from the auxiliary array when one
-    /// holds plain heads — routing then never touches leaf storage.
-    #[inline]
-    fn head_at(&self, leaf: usize) -> K {
-        match &self.aux {
-            HeadIndex::Linear(heads) => heads[leaf],
-            _ => self.storage.head(leaf),
-        }
-    }
-
     /// How many probe groups ahead the probe phase prefetches leaf data:
     /// deep enough to keep ~a dozen independent line fills in flight,
     /// which is what the leaf-miss-bound probe loop needs to hide DRAM
@@ -733,7 +583,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
     /// the head of the next occupied leaf (= every group member's
     /// out-of-leaf successor).
     ///
-    /// Two passes. The routing pass walks only the head index (plus the
+    /// Two passes. The routing pass walks only the heads (plus the
     /// occupancy bitset) and records one `(leaf, range, limit)` group per
     /// destination. The probe pass then visits the groups with leaf-data
     /// prefetch issued [`Self::PROBE_PREFETCH_AHEAD`] groups early, so the
@@ -763,7 +613,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
                     let mut steps = 0usize;
                     loop {
                         match self.next_nonempty_leaf(cur) {
-                            Some(nl) if self.head_at(nl) <= key => {
+                            Some(nl) if self.storage.head(nl) <= key => {
                                 cur = nl;
                                 steps += 1;
                                 if steps >= 8 {
@@ -785,7 +635,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
             // Everything below the next occupied head routes to `leaf`
             // (dest_leaf is monotone and skips inherited-head runs).
             let next = self.next_nonempty_leaf(leaf);
-            let limit = next.map(|nl| self.head_at(nl));
+            let limit = next.map(|nl| self.storage.head(nl));
             let mut j = i + 1;
             while j < order.len() && limit.is_none_or(|lim| keys[order[j]] < lim) {
                 j += 1;
@@ -889,9 +739,6 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
             self.fix_inherited_heads_after(1);
         }
         self.rebalance_after_insert(leaf);
-        // The merge may have lowered the leaf's head (key below its old
-        // minimum), so non-InPlace forms refresh the auxiliary array.
-        self.rebuild_head_index();
         true
     }
 
@@ -913,9 +760,6 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
             self.occ_clear(leaf);
         }
         self.rebalance_after_remove(leaf);
-        // Removing a leaf's minimum moves its head up; refresh the
-        // auxiliary array for non-InPlace forms.
-        self.rebuild_head_index();
         true
     }
 
@@ -1029,7 +873,6 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
         self.units = self.units.checked_add_signed(units_delta).unwrap();
         self.fix_inherited_heads_after(node.end);
         self.rebuild_occ_range(node.start, node.end);
-        self.rebuild_head_index();
         // Hybrid plans are estimate-driven and may leave an unfit tail
         // leaf; a capacity grow re-spreads everything and cannot overflow
         // (rebuild_into retries until every leaf fits).
@@ -1079,9 +922,11 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
     }
 
     /// Bytes of backing memory (the artifact's `get_size()`), including
-    /// the read index (occupancy bitset + auxiliary head array).
+    /// the occupancy bitset.
     pub fn size_bytes(&self) -> usize {
-        self.storage.size_bytes() + std::mem::size_of::<Self>() + self.read_index_bytes()
+        self.storage.size_bytes()
+            + std::mem::size_of::<Self>()
+            + std::mem::size_of_val(self.occ.as_slice())
     }
 
     /// Smallest stored element.
@@ -1283,7 +1128,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
     }
 
     /// Iterate all elements in order.
-    pub fn iter(&self) -> Iter<'_, K, L, FORM> {
+    pub fn iter(&self) -> Iter<'_, K, L> {
         Iter {
             core: self,
             leaf: 0,
@@ -1293,7 +1138,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
     }
 
     /// Iterate, in order, the elements ≥ `start`.
-    pub fn iter_from(&self, start: K) -> Iter<'_, K, L, FORM> {
+    pub fn iter_from(&self, start: K) -> Iter<'_, K, L> {
         let Some(leaf) = self.dest_leaf(start) else {
             return Iter {
                 core: self,
@@ -1360,8 +1205,6 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
     pub fn check_invariants(&self) {
         let n = self.storage.num_leaves();
         let cap = self.storage.leaf_units();
-        let tree = self.tree();
-        let max_depth = tree.max_depth();
         // Heads non-decreasing; non-empty heads are minima; no overflows.
         let mut prev_head: Option<K> = None;
         let mut prev_elem: Option<K> = None;
@@ -1425,30 +1268,6 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
                 "leaf {leaf} exceeds physical capacity"
             );
         }
-        // The auxiliary head index must answer exactly like the in-place
-        // binary search (same partition point for every head and
-        // neighbors thereof).
-        if !matches!(self.aux, HeadIndex::None) {
-            for leaf in 0..n {
-                let h = self.storage.head(leaf).to_u64();
-                let probes = [
-                    h.saturating_sub(1),
-                    h,
-                    h.saturating_add(1).min(K::MAX.to_u64()),
-                ];
-                for probe in probes.map(K::from_u64) {
-                    let flat = (0..n)
-                        .take_while(|&l| self.storage.head(l) <= probe)
-                        .count();
-                    assert_eq!(
-                        self.head_partition(probe),
-                        flat,
-                        "head index disagrees with flat search at probe {probe}"
-                    );
-                }
-            }
-        }
-        let _ = (tree, max_depth);
     }
 }
 
@@ -1457,13 +1276,13 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PmaCore<K, L, FORM> {
 /// (capacity, leaf geometry, which leaf holds which key) is
 /// intentionally ignored — it varies with insertion history while the
 /// abstract set does not.
-impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> PartialEq for PmaCore<K, L, FORM> {
+impl<K: PmaKey, L: LeafStorage<K>> PartialEq for PmaCore<K, L> {
     fn eq(&self, other: &Self) -> bool {
         self.len == other.len && self.cfg == other.cfg && self.iter().eq(other.iter())
     }
 }
 
-impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> std::fmt::Debug for PmaCore<K, L, FORM> {
+impl<K: PmaKey, L: LeafStorage<K>> std::fmt::Debug for PmaCore<K, L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PmaCore")
             .field("len", &self.len)
@@ -1475,14 +1294,14 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> std::fmt::Debug for PmaCore<K
 }
 
 /// In-order iterator over a PMA; decodes one leaf at a time.
-pub struct Iter<'a, K: PmaKey, L: LeafStorage<K>, const FORM: u8 = 0> {
-    core: &'a PmaCore<K, L, FORM>,
+pub struct Iter<'a, K: PmaKey, L: LeafStorage<K>> {
+    core: &'a PmaCore<K, L>,
     leaf: usize,
     buf: Vec<K>,
     pos: usize,
 }
 
-impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> Iterator for Iter<'_, K, L, FORM> {
+impl<K: PmaKey, L: LeafStorage<K>> Iterator for Iter<'_, K, L> {
     type Item = K;
 
     fn next(&mut self) -> Option<K> {
@@ -1503,9 +1322,9 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> Iterator for Iter<'_, K, L, F
     }
 }
 
-impl<'a, K: PmaKey, L: LeafStorage<K>, const FORM: u8> IntoIterator for &'a PmaCore<K, L, FORM> {
+impl<'a, K: PmaKey, L: LeafStorage<K>> IntoIterator for &'a PmaCore<K, L> {
     type Item = K;
-    type IntoIter = Iter<'a, K, L, FORM>;
+    type IntoIter = Iter<'a, K, L>;
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
     }
@@ -1513,7 +1332,7 @@ impl<'a, K: PmaKey, L: LeafStorage<K>, const FORM: u8> IntoIterator for &'a PmaC
 
 /// Owned iteration drains into a sorted buffer (the backing array is a
 /// packed layout, not a `Vec` of elements).
-impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> IntoIterator for PmaCore<K, L, FORM> {
+impl<K: PmaKey, L: LeafStorage<K>> IntoIterator for PmaCore<K, L> {
     type Item = K;
     type IntoIter = std::vec::IntoIter<K>;
     fn into_iter(self) -> Self::IntoIter {
@@ -1522,7 +1341,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> IntoIterator for PmaCore<K, L
 }
 
 /// Collect arbitrary (unsorted, possibly duplicated) keys into a PMA.
-impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> FromIterator<K> for PmaCore<K, L, FORM> {
+impl<K: PmaKey, L: LeafStorage<K>> FromIterator<K> for PmaCore<K, L> {
     fn from_iter<I: IntoIterator<Item = K>>(iter: I) -> Self {
         let mut keys: Vec<K> = iter.into_iter().collect();
         let keys = cpma_api::normalize_batch(&mut keys);
@@ -1531,7 +1350,7 @@ impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> FromIterator<K> for PmaCore<K
 }
 
 /// Batch-insert arbitrary keys (buffers, then runs one batch update).
-impl<K: PmaKey, L: LeafStorage<K>, const FORM: u8> Extend<K> for PmaCore<K, L, FORM> {
+impl<K: PmaKey, L: LeafStorage<K>> Extend<K> for PmaCore<K, L> {
     fn extend<I: IntoIterator<Item = K>>(&mut self, iter: I) {
         let mut keys: Vec<K> = iter.into_iter().collect();
         self.insert_batch(&mut keys, false);

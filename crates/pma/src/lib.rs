@@ -38,10 +38,7 @@ mod search;
 mod uncompressed;
 
 pub use crate::compressed::CompressedLeaves;
-pub use crate::core::{
-    Cpma, CpmaBNary, CpmaEytzinger, CpmaLinear, ForceCodec, HeadForm, Pma, PmaBNary, PmaConfig,
-    PmaConfigBuilder, PmaCore, PmaEytzinger, PmaLinear,
-};
+pub use crate::core::{Cpma, ForceCodec, Pma, PmaConfig, PmaConfigBuilder, PmaCore};
 pub use crate::density::DensityBounds;
 pub use crate::leaf::{LeafStorage, MergeOutcome, OpsOutcome};
 pub use crate::stats::PmaStats;

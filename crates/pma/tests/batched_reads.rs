@@ -1,8 +1,7 @@
 //! Property test: the batched read API must agree with the per-key API
-//! and with a `BTreeSet` oracle — for every head layout, both codecs,
-//! and after every batch-update regime (point fallback, pipeline, full
-//! rebuild), including duplicate probes, probes below the minimum, and
-//! `u64::MAX`.
+//! and with a `BTreeSet` oracle — both codecs, every update regime (point
+//! fallback, pipeline, full rebuild), including duplicate probes, probes
+//! below the minimum, and `u64::MAX`.
 
 use cpma_api::testkit::{sorted_unique, Rng};
 use cpma_api::OrderedSet;
@@ -52,7 +51,7 @@ fn check_reads<S: OrderedSet<u64>>(s: &S, oracle: &BTreeSet<u64>, rng: &mut Rng,
     );
 }
 
-macro_rules! layout_case {
+macro_rules! codec_case {
     ($name:ident, $ty:ty) => {
         #[test]
         fn $name() {
@@ -91,11 +90,5 @@ macro_rules! layout_case {
     };
 }
 
-layout_case!(pma_inplace, cpma_pma::Pma<u64>);
-layout_case!(pma_linear, cpma_pma::PmaLinear<u64>);
-layout_case!(pma_eytzinger, cpma_pma::PmaEytzinger<u64>);
-layout_case!(pma_bnary, cpma_pma::PmaBNary<u64>);
-layout_case!(cpma_inplace, cpma_pma::Cpma);
-layout_case!(cpma_linear, cpma_pma::CpmaLinear);
-layout_case!(cpma_eytzinger, cpma_pma::CpmaEytzinger);
-layout_case!(cpma_bnary, cpma_pma::CpmaBNary);
+codec_case!(pma, cpma_pma::Pma<u64>);
+codec_case!(cpma, cpma_pma::Cpma);

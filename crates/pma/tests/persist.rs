@@ -109,48 +109,52 @@ fn codec_mismatch_is_typed() {
     ));
 }
 
+/// Rewrite the head-layout tag (the last u64 of the meta section) of a
+/// snapshot image, keeping the checksums valid.
+fn with_layout_tag(bytes: &[u8], tag: u64) -> Vec<u8> {
+    use cpma_persist::snapshot::SnapshotEnvelope;
+    let mut env = SnapshotEnvelope::from_bytes(bytes).unwrap();
+    let at = env.meta.len() - 8;
+    env.meta[at..].copy_from_slice(&tag.to_le_bytes());
+    env.to_bytes()
+}
+
+/// Older snapshots recorded one of four head layouts (tags 0..=3). The
+/// heads travel in the payload, so every legacy tag loads the same set;
+/// anything past the legacy range is a typed corruption error.
 #[test]
-fn head_layout_tag_roundtrips_and_mismatch_is_typed() {
-    use cpma_pma::{CpmaBNary, PmaEytzinger, PmaLinear};
-
-    // Same-layout roundtrip: whole-structure equality, still usable.
-    let set: PmaEytzinger = build(&sample_keys(20_000));
-    let bytes = set.to_snapshot_bytes();
-    let back = PmaEytzinger::<u64>::from_snapshot_bytes(&bytes).unwrap();
-    assert_eq!(set, back);
-    back.check_invariants();
-
-    // Opening under any *other* head layout is a typed corruption error
-    // that names both layouts — the aux array is rebuilt from the tag's
-    // layout, so a silent cross-load would misroute every lookup.
-    let err = Pma::<u64>::from_snapshot_bytes(&bytes).unwrap_err();
-    match err {
-        PersistError::Corrupt(msg) => {
-            assert!(
-                msg.contains("eytzinger"),
-                "message names found layout: {msg}"
-            );
-            assert!(
-                msg.contains("inplace"),
-                "message names expected layout: {msg}"
-            );
-        }
-        other => panic!("expected Corrupt, got {other:?}"),
+fn legacy_head_layout_tags_load_and_unknown_tags_are_typed() {
+    let pma: Pma = build(&sample_keys(20_000));
+    let cpma: Cpma = build(&sample_keys(10_000));
+    let pma_bytes = pma.to_snapshot_bytes();
+    let cpma_bytes = cpma.to_snapshot_bytes();
+    // Freshly written images carry tag 0.
+    assert_eq!(with_layout_tag(&pma_bytes, 0), pma_bytes);
+    assert_eq!(with_layout_tag(&cpma_bytes, 0), cpma_bytes);
+    for tag in 1..=3u64 {
+        let back = Pma::<u64>::from_snapshot_bytes(&with_layout_tag(&pma_bytes, tag)).unwrap();
+        assert_eq!(pma, back, "pma, legacy tag {tag}");
+        back.check_invariants();
+        let cback = Cpma::from_snapshot_bytes(&with_layout_tag(&cpma_bytes, tag)).unwrap();
+        assert_eq!(cpma, cback, "cpma, legacy tag {tag}");
+        cback.check_invariants();
     }
-    assert!(matches!(
-        PmaLinear::<u64>::from_snapshot_bytes(&bytes),
-        Err(PersistError::Corrupt(_))
-    ));
-
-    // Compressed codec carries the tag too.
-    let cset: CpmaBNary = build(&sample_keys(10_000));
-    let cbytes = cset.to_snapshot_bytes();
-    let cback = CpmaBNary::from_snapshot_bytes(&cbytes).unwrap();
-    assert_eq!(cset, cback);
-    assert!(matches!(
-        Cpma::from_snapshot_bytes(&cbytes),
-        Err(PersistError::Corrupt(_))
-    ));
+    for tag in [4u64, u64::MAX] {
+        assert!(
+            matches!(
+                Pma::<u64>::from_snapshot_bytes(&with_layout_tag(&pma_bytes, tag)),
+                Err(PersistError::Corrupt(_))
+            ),
+            "pma, tag {tag}"
+        );
+        assert!(
+            matches!(
+                Cpma::from_snapshot_bytes(&with_layout_tag(&cpma_bytes, tag)),
+                Err(PersistError::Corrupt(_))
+            ),
+            "cpma, tag {tag}"
+        );
+    }
 }
 
 #[test]
