@@ -13,7 +13,7 @@
 //! latency per configuration, and the combiner's epoch statistics, into
 //! `BENCH_service.json`. The headline row (8 clients × 4096-op bursts) is
 //! the end-to-end form of the paper's claim: batched updates through the
-//! combining window beat per-op locking from the first client on.
+//! combiner beat per-op locking from the first client on.
 //!
 //! `--quick` runs the CI-smoke sizing; full mode builds a ≥10M-key base
 //! store. `--ops`, `--base`, and `--seed` override the defaults.
@@ -23,7 +23,7 @@ use cpma_bench::{sci, Args, BatchOp, BatchSet};
 use cpma_obs::HistSnapshot;
 use cpma_pma::Cpma;
 use cpma_service::{Client, Service, ServiceConfig};
-use cpma_store::{Combiner, CombinerConfig, ShardedSet};
+use cpma_store::{Combiner, ShardedSet};
 use cpma_workloads::{clustered_keys, dedup_sorted, uniform_keys, SplitMix64, ZipfGenerator};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -81,16 +81,9 @@ fn run_load(
     burst: usize,
 ) -> RunResult {
     let clients = streams.len();
-    // Hold the combining window open for one full wave of client bursts
-    // (same tuning rule as the in-process store_throughput sweep).
     let cfg = ServiceConfig {
         workers: clients.max(1),
         read_timeout: Some(Duration::from_secs(120)),
-        combiner: CombinerConfig {
-            window_ops: burst.saturating_mul(clients.max(1)),
-            window_wait: Duration::from_micros(200),
-            ..CombinerConfig::default()
-        },
         ..ServiceConfig::default()
     };
 

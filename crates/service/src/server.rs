@@ -66,7 +66,7 @@ pub struct ServiceConfig {
     /// a 1 MiB frame. Default scan limit × 8 bytes must stay under
     /// `max_frame_bytes`.
     pub scan_limit: u32,
-    /// Combining-window configuration for the backing [`Combiner`].
+    /// Configuration of the backing [`Combiner`].
     pub combiner: CombinerConfig,
 }
 
@@ -84,8 +84,8 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Validate the knob set (the combiner config is checked by the
-    /// combiner constructors themselves).
+    /// Validate the knob set (every [`CombinerConfig`] is valid, so there
+    /// is nothing to check there).
     pub fn check(&self) -> Result<(), ConfigError> {
         if self.workers == 0 {
             return Err(ConfigError::new("workers", "must be at least 1"));

@@ -8,7 +8,6 @@ use cpma_api::testkit::Rng;
 use cpma_api::BatchOp;
 use cpma_pma::Cpma;
 use cpma_service::{Client, Service, ServiceConfig, ServiceError};
-use cpma_store::CombinerConfig;
 use std::collections::BTreeSet;
 use std::time::Duration;
 
@@ -238,75 +237,63 @@ fn concurrent_clients_linearizable_against_oracle() {
 }
 
 /// Read-your-writes: a connection's snapshot reads see every write it
-/// sent before them, under every combiner configuration — including a
-/// wide window like a saturating load's — while another connection keeps
-/// epochs flowing that the reader never waits for.
+/// sent before them, while another connection keeps epochs flowing that
+/// the reader never waits for.
 #[test]
 fn snapshot_reads_see_the_connections_earlier_writes() {
     use cpma_service::{Reply, Request};
     use std::sync::atomic::{AtomicBool, Ordering};
-    let wide = CombinerConfig {
-        window_ops: 8192,
-        window_wait: Duration::from_micros(200),
-        ..CombinerConfig::default()
-    };
-    for combiner in [CombinerConfig::default(), CombinerConfig::adaptive(), wide] {
-        let cfg = ServiceConfig {
-            combiner,
-            ..test_config()
-        };
-        let (mut service, _combiner) = Service::serve(Cpma::new(), cfg).unwrap();
-        let addr = service.local_addr();
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let mut other = Client::connect(addr).unwrap();
-                for burst in 0..2_000u64 {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let base = (1 << 40) + burst * 64;
-                    let ops: Vec<BatchOp<u64>> = (base..base + 64).map(BatchOp::Insert).collect();
-                    other.mutate_burst(&ops).unwrap();
+    let (mut service, _combiner) = Service::serve(Cpma::new(), test_config()).unwrap();
+    let addr = service.local_addr();
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut other = Client::connect(addr).unwrap();
+            for burst in 0..2_000u64 {
+                if stop.load(Ordering::SeqCst) {
+                    break;
                 }
-            });
-            let mut client = Client::connect(addr).unwrap();
-            for round in 0..20u64 {
-                // 64 inserts and the read in one pipelined write: the
-                // server splits them into a submission and a read.
-                let keys: Vec<u64> = (round * 128..round * 128 + 64).collect();
-                let mut requests: Vec<Request> = keys
-                    .iter()
-                    .map(|&key| Request::Insert { seq: 0, key })
-                    .collect();
-                requests.push(Request::ContainsBatch {
-                    seq: 0,
-                    keys: keys.clone(),
-                });
-                let replies = client.pipeline(requests).unwrap();
-                match replies.last() {
-                    Some(Reply::Bools { values, .. }) => {
-                        let missing = values.iter().filter(|&&v| !v).count();
-                        assert_eq!(missing, 0, "round {round}: pipelined inserts not visible");
-                    }
-                    other => panic!("expected Bools, got {other:?}"),
-                }
-                // 64 acked inserts, then the read as a separate request.
-                let keys: Vec<u64> = (round * 128 + 64..round * 128 + 128).collect();
-                let ops: Vec<BatchOp<u64>> = keys.iter().map(|&k| BatchOp::Insert(k)).collect();
-                assert!(client.mutate_burst(&ops).unwrap().into_iter().all(|a| a));
-                let missing = client
-                    .contains_batch(&keys)
-                    .unwrap()
-                    .into_iter()
-                    .filter(|&v| !v)
-                    .count();
-                assert_eq!(missing, 0, "round {round}: acked inserts not visible");
+                let base = (1 << 40) + burst * 64;
+                let ops: Vec<BatchOp<u64>> = (base..base + 64).map(BatchOp::Insert).collect();
+                other.mutate_burst(&ops).unwrap();
             }
-            stop.store(true, Ordering::SeqCst);
         });
-        service.shutdown();
-    }
+        let mut client = Client::connect(addr).unwrap();
+        for round in 0..20u64 {
+            // 64 inserts and the read in one pipelined write: the
+            // server splits them into a submission and a read.
+            let keys: Vec<u64> = (round * 128..round * 128 + 64).collect();
+            let mut requests: Vec<Request> = keys
+                .iter()
+                .map(|&key| Request::Insert { seq: 0, key })
+                .collect();
+            requests.push(Request::ContainsBatch {
+                seq: 0,
+                keys: keys.clone(),
+            });
+            let replies = client.pipeline(requests).unwrap();
+            match replies.last() {
+                Some(Reply::Bools { values, .. }) => {
+                    let missing = values.iter().filter(|&&v| !v).count();
+                    assert_eq!(missing, 0, "round {round}: pipelined inserts not visible");
+                }
+                other => panic!("expected Bools, got {other:?}"),
+            }
+            // 64 acked inserts, then the read as a separate request.
+            let keys: Vec<u64> = (round * 128 + 64..round * 128 + 128).collect();
+            let ops: Vec<BatchOp<u64>> = keys.iter().map(|&k| BatchOp::Insert(k)).collect();
+            assert!(client.mutate_burst(&ops).unwrap().into_iter().all(|a| a));
+            let missing = client
+                .contains_batch(&keys)
+                .unwrap()
+                .into_iter()
+                .filter(|&v| !v)
+                .count();
+            assert_eq!(missing, 0, "round {round}: acked inserts not visible");
+        }
+        stop.store(true, Ordering::SeqCst);
+    });
+    service.shutdown();
 }
 
 #[test]

@@ -25,10 +25,10 @@
 //!   elected leader per *epoch*, drains the shared publication buffer,
 //!   folds the drained operations into one normalized batch, applies it
 //!   with the backend's batch-parallel update, and wakes every waiter with
-//!   its individual result. The combining window is governed by
-//!   [`WindowPolicy`] — static thresholds or the adaptive arrival-rate
-//!   tracker — with always-on [`CombinerStats`] recording epoch sizes
-//!   and seal reasons. Readers run against a snapshot
+//!   its individual result. Combining is reactive: the leader seals the
+//!   open epoch at once, so batches grow with load (publications pile up
+//!   while the previous epoch applies) and always-on [`CombinerStats`]
+//!   record the epoch sizes. Readers run against a snapshot
 //!   ([`Combiner::snapshot`]) that covers every applied epoch; it is cut
 //!   on reader demand, so write-only traffic never clones the set.
 //!
@@ -36,8 +36,7 @@
 //! threads become sorted batches, and those batches fan out over shards —
 //! live traffic executes exactly the workload regime the paper shows the
 //! CPMA wins. The `store_throughput` benchmark binary in `cpma-bench`
-//! measures that end to end (including the bursty-arrival Fixed-vs-
-//! Adaptive sweep); `docs/TUNING.md` explains every knob.
+//! measures that end to end; `docs/TUNING.md` explains every knob.
 //!
 //! # Durability
 //!
@@ -55,7 +54,7 @@
 mod combiner;
 mod sharded;
 
-pub use combiner::{AdaptiveWindow, Combiner, CombinerConfig, CombinerStats, Op, WindowPolicy};
+pub use combiner::{Combiner, CombinerConfig, CombinerStats, Op};
 pub use cpma_api::{Persist, PersistError};
 pub use cpma_persist::{FsyncPolicy, RecoveryReport, WalConfig};
 pub use sharded::{

@@ -8,7 +8,7 @@ use cpma_api::conformance::assert_ordered_set_contract;
 use cpma_api::testkit::Rng;
 use cpma_api::{BatchSet, OrderedSet, RangeSet};
 use cpma_pma::{Cpma, Pma};
-use cpma_store::{AdaptiveWindow, Combiner, CombinerConfig, Op, ShardedSet, WindowPolicy};
+use cpma_store::{Combiner, Op, ShardedSet};
 use std::collections::BTreeSet;
 use std::time::Duration;
 
@@ -158,12 +158,7 @@ fn combiner_linearizes_concurrent_mixed_traffic() {
     const WRITERS: u64 = 4;
     const OPS_PER_WRITER: usize = 2_000;
 
-    let cfg = CombinerConfig {
-        window_ops: 16,
-        window_wait: Duration::from_micros(50),
-        ..CombinerConfig::default()
-    };
-    let store: Combiner<ShardedSet<Cpma, 4>> = Combiner::with_config(BatchSet::new_set(), cfg);
+    let store: Combiner<ShardedSet<Cpma, 4>> = Combiner::new(BatchSet::new_set());
 
     let models: Vec<BTreeSet<u64>> = std::thread::scope(|scope| {
         // A snapshot reader runs throughout: internally consistent views (strictly ascending contents, matching len).
@@ -234,29 +229,17 @@ fn combiner_linearizes_concurrent_mixed_traffic() {
     assert_eq!(RangeSet::to_vec(&store.into_inner()), want);
 }
 
-/// Seeded bursty arrivals under the adaptive window policy: concurrent
-/// writers publish bursts separated by idle gaps. Every acknowledgement
-/// must match the per-stripe oracle, and the always-on stats must
-/// account for every epoch — with the hard caps out of reach, each
-/// window can only close on an arrival-rate drop.
+/// Seeded bursty arrivals: concurrent writers publish `submit_many`
+/// bursts separated by idle gaps. Every acknowledgement must match the
+/// per-stripe oracle, and the always-on stats must account for every
+/// epoch.
 #[test]
-fn adaptive_combiner_linearizes_bursty_traffic() {
+fn combiner_linearizes_bursty_submit_many() {
     const WRITERS: u64 = 4;
     const BURSTS_PER_WRITER: usize = 25;
     const BURST_LEN: usize = 32;
 
-    let cfg = CombinerConfig {
-        policy: WindowPolicy::Adaptive(AdaptiveWindow {
-            gap_factor: 8,
-            idle_grace: Duration::from_micros(100),
-            // Caps far beyond what this workload can reach: every seal
-            // below must be a rate drop.
-            max_window_ops: 1 << 20,
-            max_window_wait: Duration::from_secs(30),
-        }),
-        ..CombinerConfig::default()
-    };
-    let store: Combiner<ShardedSet<Cpma, 4>> = Combiner::with_config(BatchSet::new_set(), cfg);
+    let store: Combiner<ShardedSet<Cpma, 4>> = Combiner::new(BatchSet::new_set());
 
     let models: Vec<BTreeSet<u64>> = std::thread::scope(|scope| {
         (0..WRITERS)
@@ -285,8 +268,8 @@ fn adaptive_combiner_linearizes_bursty_traffic() {
                             };
                             assert_eq!(acked, want, "t{t} burst {burst} op {i} ({op:?})");
                         }
-                        // Inter-burst idle gap (seeded jitter): the shape
-                        // adaptive sealing exists for.
+                        // Inter-burst idle gap (seeded jitter): writers
+                        // arrive in waves.
                         std::thread::sleep(Duration::from_micros(200 + rng.below(300)));
                     }
                     model
@@ -304,12 +287,6 @@ fn adaptive_combiner_linearizes_bursty_traffic() {
     let total_ops = WRITERS as usize * BURSTS_PER_WRITER * BURST_LEN;
     assert_eq!(stats.ops, total_ops as u64, "every op counted exactly once");
     assert_eq!(stats.epochs, store.epochs_applied());
-    assert_eq!(
-        stats.sealed_rate_drop,
-        stats.epochs,
-        "caps unreachable ⇒ every seal is a rate drop: {}",
-        stats.summary()
-    );
     assert_eq!(
         stats.ops_per_epoch_log2.iter().sum::<u64>(),
         stats.epochs,

@@ -38,13 +38,13 @@ fn main() {
     // ~1024 phase spans are usually enough to see what the store was doing.
     cpma::obs::install_panic_hook();
 
-    // Self-tuning store: the adaptive window seals each combining epoch
-    // when the burst wave ends (no arrival-rate knob to guess), the
+    // Self-tuning store: each combining epoch takes whatever bursts piled
+    // up while the previous one applied (no window knob to guess), the
     // shard count autotunes between 1 and 64 as the store fills, and
     // every snapshot covers all epochs applied before it, so every
     // acknowledged burst is visible to the analytics reader.
     let store: Combiner<ShardedSet<Cpma, 8, 1, 64>> =
-        Combiner::with_config(BatchSet::new_set(), CombinerConfig::adaptive());
+        Combiner::with_config(BatchSet::new_set(), CombinerConfig::default());
     let ingested = AtomicUsize::new(0);
     let finished_writers = AtomicUsize::new(0);
     let done = AtomicBool::new(false);
@@ -166,9 +166,8 @@ fn main() {
         .expect("checkpoint the ingested store");
     let mut wal = WalConfig::new(&wal_dir);
     wal.fsync = FsyncPolicy::EveryN(8);
-    let (durable, report) =
-        Combiner::<Store>::open_durable(CombinerConfig::adaptive(), wal.clone())
-            .expect("open durable store");
+    let (durable, report) = Combiner::<Store>::open_durable(CombinerConfig::default(), wal.clone())
+        .expect("open durable store");
     assert_eq!(durable.snapshot().len(), base_len);
     println!(
         "opened durable store from checkpoint (epoch {}): {} events",
@@ -202,7 +201,7 @@ fn main() {
     drop(pre_crash);
     drop(durable); // simulated crash: no shutdown checkpoint
 
-    let (recovered, report) = Combiner::<Store>::open_durable(CombinerConfig::adaptive(), wal)
+    let (recovered, report) = Combiner::<Store>::open_durable(CombinerConfig::default(), wal)
         .expect("recover after crash");
     println!(
         "recovered {} epochs: checkpoint at epoch {}, {} replayed from the WAL tail",
