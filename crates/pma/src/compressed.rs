@@ -36,34 +36,16 @@ const TAG_DELTA: u8 = 0;
 /// Per-leaf tag: fixed-span bitmap ([`crate::bitmap`]).
 const TAG_BITMAP: u8 = 1;
 
-/// The instance-level codec decision knobs (mirrors the two `PmaConfig`
-/// fields; stored here so the shared accessor can decide without reaching
-/// back into the core).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct CodecPolicy {
-    force: ForceCodec,
-    threshold: f64,
-}
-
-impl Default for CodecPolicy {
-    fn default() -> Self {
-        Self {
-            force: ForceCodec::Auto,
-            threshold: 1.0,
-        }
-    }
-}
-
-/// Hysteresis band: a leaf already in bitmap form stays there up to
-/// `threshold · 17/16`, one in delta form flips only below
-/// `threshold · 15/16`, so leaves hovering at the boundary do not flip
-/// encodings on every redistribute.
+/// Hysteresis band around cost break-even: a leaf already in bitmap form
+/// stays there while its bitmap costs at most 17/16 of its delta bytes,
+/// one in delta form flips only below 15/16, so leaves hovering at the
+/// boundary do not flip encodings on every redistribute.
 #[inline]
-fn effective_threshold(threshold: f64, was_bitmap: bool) -> f64 {
+fn bitmap_cost_ratio(was_bitmap: bool) -> f64 {
     if was_bitmap {
-        threshold * (17.0 / 16.0)
+        17.0 / 16.0
     } else {
-        threshold * (15.0 / 16.0)
+        15.0 / 16.0
     }
 }
 
@@ -72,13 +54,13 @@ fn effective_threshold(threshold: f64, was_bitmap: bool) -> f64 {
 /// the caller spills (always with delta-based unit accounting, keeping
 /// density math monotone in the element count).
 fn choose_codec(
-    policy: CodecPolicy,
+    force: ForceCodec,
     was_bitmap: bool,
     delta_units: usize,
     bitmap_units: usize,
     cap: usize,
 ) -> (u8, usize) {
-    match policy.force {
+    match force {
         ForceCodec::Delta => (TAG_DELTA, delta_units),
         ForceCodec::Bitmap => {
             if bitmap_units <= cap {
@@ -88,13 +70,13 @@ fn choose_codec(
             }
         }
         ForceCodec::Auto => {
-            let t = effective_threshold(policy.threshold, was_bitmap);
+            let t = bitmap_cost_ratio(was_bitmap);
             if bitmap_units <= cap && (bitmap_units as f64) <= t * (delta_units as f64) {
                 (TAG_BITMAP, bitmap_units)
             } else if delta_units <= cap || bitmap_units > cap {
                 (TAG_DELTA, delta_units)
             } else {
-                // The threshold prefers delta but only the bitmap fits:
+                // The cost prefers delta but only the bitmap fits:
                 // fitting beats preference (no needless overflow).
                 (TAG_BITMAP, bitmap_units)
             }
@@ -309,7 +291,7 @@ pub struct CompressedLeaves {
     /// Out-of-place buffers for overflowed leaves (batch merge only).
     overflow: Vec<Option<Box<[u64]>>>,
     leaf_units: usize,
-    policy: CodecPolicy,
+    policy: ForceCodec,
 }
 
 impl CompressedLeaves {
@@ -528,7 +510,7 @@ impl LeafStorage<u64> for CompressedLeaves {
             tags,
             overflow: (0..num_leaves).map(|_| None).collect(),
             leaf_units,
-            policy: CodecPolicy::default(),
+            policy: ForceCodec::Auto,
         })
     }
 
@@ -543,7 +525,7 @@ impl LeafStorage<u64> for CompressedLeaves {
             tags: vec![TAG_DELTA; num_leaves],
             overflow: (0..num_leaves).map(|_| None).collect(),
             leaf_units,
-            policy: CodecPolicy::default(),
+            policy: ForceCodec::Auto,
         }
     }
 
@@ -759,19 +741,19 @@ impl LeafStorage<u64> for CompressedLeaves {
         hybrid_plan_split(elems, k, leaf_units)
     }
 
-    fn set_codec_policy(&mut self, force: ForceCodec, threshold: f64) {
-        self.policy = CodecPolicy { force, threshold };
+    fn set_codec_policy(&mut self, force: ForceCodec) {
+        self.policy = force;
     }
 
     fn units_for_with(&self, elems: &[u64]) -> usize {
-        match self.policy.force {
+        match self.policy {
             ForceCodec::Delta => encoded_run_len(elems, 8),
             _ => hybrid_units_estimate(elems),
         }
     }
 
     fn plan_split_with(&self, elems: &[u64], k: usize, leaf_units: usize) -> Vec<usize> {
-        match self.policy.force {
+        match self.policy {
             ForceCodec::Delta => delta_plan_split(elems, k, leaf_units),
             _ => hybrid_plan_split(elems, k, leaf_units),
         }
@@ -804,7 +786,7 @@ pub struct CompressedShared<'a> {
     overflow: *mut Option<Box<[u64]>>,
     leaf_units: usize,
     num_leaves: usize,
-    policy: CodecPolicy,
+    policy: ForceCodec,
     _marker: PhantomData<&'a mut CompressedLeaves>,
 }
 
@@ -916,12 +898,12 @@ impl CompressedShared<'_> {
     /// paths stay byte-identical.
     #[inline]
     fn commit_wordwise(&self, cand_units: usize, count: usize) -> bool {
-        match self.policy.force {
+        match self.policy {
             ForceCodec::Bitmap => true,
             ForceCodec::Delta => false,
             ForceCodec::Auto => {
                 let lb = (8 + count - 1) as f64;
-                cand_units as f64 <= effective_threshold(self.policy.threshold, true) * lb
+                cand_units as f64 <= bitmap_cost_ratio(true) * lb
             }
         }
     }
@@ -1324,7 +1306,7 @@ mod tests {
 
     fn delta_store(leaves: usize) -> CompressedLeaves {
         let mut s = store(leaves);
-        s.set_codec_policy(ForceCodec::Delta, 1.0);
+        s.set_codec_policy(ForceCodec::Delta);
         s
     }
 
@@ -1424,7 +1406,7 @@ mod tests {
     #[test]
     fn forced_bitmap_falls_back_to_delta_on_wide_spans() {
         let mut s = store(1);
-        s.set_codec_policy(ForceCodec::Bitmap, 1.0);
+        s.set_codec_policy(ForceCodec::Bitmap);
         let mut scratch = Vec::new();
         let sparse: Vec<u64> = (0..10).map(|i| i << 40).collect();
         let out = unsafe { s.shared().merge_into_leaf(0, &sparse, &mut scratch) };
@@ -1538,11 +1520,11 @@ mod tests {
         // 801 bits → 8 + 13·8 = 112 B. Ratio ≈ 1.037: inside (15/16, 17/16).
         let run: Vec<u64> = (0..101u64).map(|i| 1000 + i * 8).collect();
         let mut scratch = Vec::new();
-        // Fresh leaf (delta-tagged): threshold·15/16 < ratio → stays delta.
+        // Fresh leaf (delta-tagged): 15/16 < ratio → stays delta.
         let mut s = store(1);
         unsafe { s.shared().merge_into_leaf(0, &run, &mut scratch) };
         assert!(!s.is_bitmap(0));
-        // Same run written over a bitmap-tagged leaf: threshold·17/16 >
+        // Same run written over a bitmap-tagged leaf: 17/16 >
         // ratio → stays bitmap.
         let mut s = store(1);
         let dense: Vec<u64> = (1000..1200).collect();

@@ -39,9 +39,9 @@ use std::marker::PhantomData;
 /// encodings ignore it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ForceCodec {
-    /// Pick per leaf at rewrite time: bitmap when its word cost is at most
-    /// `bitmap_leaf_threshold ×` the delta-byte cost (with a small
-    /// hysteresis band around the threshold to damp flip-flopping).
+    /// Pick per leaf at rewrite time: bitmap when its word cost does not
+    /// exceed the delta-byte cost (with a ±1/16 hysteresis band around
+    /// break-even to damp flip-flopping).
     #[default]
     Auto,
     /// Always delta byte codes (the paper's pure §5 CPMA).
@@ -72,12 +72,6 @@ pub struct PmaConfig {
     pub full_rebuild_divisor: usize,
     /// Codec override for hybrid leaf storages (default [`ForceCodec::Auto`]).
     pub force_codec: ForceCodec,
-    /// Under [`ForceCodec::Auto`], a leaf flips to the bitmap encoding when
-    /// its bitmap cost is at most `threshold ×` its delta-byte cost.
-    /// `1.0` (the default) means "whichever is strictly smaller"; values
-    /// above 1 bias toward bitmaps (buying wordwise range kernels at some
-    /// space), below 1 toward delta codes.
-    pub bitmap_leaf_threshold: f64,
 }
 
 impl Default for PmaConfig {
@@ -89,7 +83,6 @@ impl Default for PmaConfig {
             point_update_cutoff: 128,
             full_rebuild_divisor: 10,
             force_codec: ForceCodec::Auto,
-            bitmap_leaf_threshold: 1.0,
         }
     }
 }
@@ -120,15 +113,6 @@ impl PmaConfig {
             return Err(ConfigError::new(
                 "full_rebuild_divisor",
                 "must be at least 1",
-            ));
-        }
-        if !self.bitmap_leaf_threshold.is_finite() {
-            return Err(ConfigError::new("bitmap_leaf_threshold", "must be finite"));
-        }
-        if self.bitmap_leaf_threshold <= 0.0 {
-            return Err(ConfigError::new(
-                "bitmap_leaf_threshold",
-                "must be positive",
             ));
         }
         Ok(())
@@ -195,13 +179,6 @@ impl PmaConfigBuilder {
         self
     }
 
-    /// Bitmap-vs-delta cost ratio at which a leaf flips to the bitmap
-    /// encoding under [`ForceCodec::Auto`] (must be finite and positive).
-    pub fn bitmap_leaf_threshold(mut self, t: f64) -> Self {
-        self.cfg.bitmap_leaf_threshold = t;
-        self
-    }
-
     /// Validate and produce the configuration.
     pub fn build(self) -> Result<PmaConfig, ConfigError> {
         self.cfg.check()?;
@@ -253,7 +230,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
         cfg.assert_valid();
         let leaf_units = Self::leaf_units_for_cap(cfg.min_leaves * L::MIN_LEAF_UNITS);
         let mut storage = L::with_geometry(cfg.min_leaves, leaf_units);
-        storage.set_codec_policy(cfg.force_codec, cfg.bitmap_leaf_threshold);
+        storage.set_codec_policy(cfg.force_codec);
         let mut this = Self {
             storage,
             cfg,
@@ -339,7 +316,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
             let leaf_units = Self::leaf_units_for_cap(cap_units);
             let k = cap_units.div_ceil(leaf_units).max(self.cfg.min_leaves);
             let mut storage = L::with_geometry(k, leaf_units);
-            storage.set_codec_policy(self.cfg.force_codec, self.cfg.bitmap_leaf_threshold);
+            storage.set_codec_policy(self.cfg.force_codec);
             let offsets = self.storage.plan_split_with(elems, k, leaf_units);
             let shared = storage.shared();
             let units: usize = (0..k)
@@ -837,6 +814,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
     /// Evenly re-spread the elements of `node` across its leaves
     /// (the redistribute step of §3; serial version for point updates).
     pub(crate) fn redistribute(&mut self, node: Node) {
+        self.batch_stats.redistribute_ranges.inc();
         let mut elems = Vec::new();
         for l in node.start..node.end {
             if self.storage.is_overflowed(l) || self.storage.count(l) > 0 {
@@ -1405,6 +1383,30 @@ mod tests {
         assert_eq!(c.len(), 5);
         assert_eq!(c.iter().collect::<Vec<_>>(), vec![100, 300, 500, 700, 900]);
         c.check_invariants();
+    }
+
+    #[test]
+    fn point_insert_redistributes_are_counted() {
+        // A dense run of point inserts into one leaf's key range overflows
+        // it long before the root fills, so the serial path redistributes
+        // a subtree; the counter must see it as it sees the batch path's.
+        fn run<L: LeafStorage<u64>>() {
+            let mut set = PmaCore::<u64, L>::new();
+            let mut base: Vec<u64> = (0..50_000u64).map(|i| i << 20).collect();
+            set.insert_batch(&mut base, true);
+            set.reset_stats();
+            for k in 1..=2_000u64 {
+                assert!(set.insert(k));
+            }
+            let stats = set.stats();
+            assert_eq!(stats.pipeline_batches, 0);
+            assert_eq!(stats.full_rebuilds, 0, "root should not violate");
+            assert!(stats.redistribute_ranges >= 1, "{}", stats.summary());
+            assert_eq!(set.len(), 52_000);
+            set.check_invariants();
+        }
+        run::<UncompressedLeaves<u64>>();
+        run::<CompressedLeaves>();
     }
 
     #[test]

@@ -187,7 +187,7 @@ pub trait LeafStorage<K: PmaKey>: Send + Sync + Sized {
     /// Install the per-leaf codec policy (hybrid storages only; the
     /// default ignores it). Called at construction and when loading a
     /// snapshot, before any leaf is written.
-    fn set_codec_policy(&mut self, _force: ForceCodec, _threshold: f64) {}
+    fn set_codec_policy(&mut self, _force: ForceCodec) {}
 
     /// Policy-aware [`Self::units_for`]: what *this instance's* codec
     /// policy would charge for the run. Capacity planning must use this

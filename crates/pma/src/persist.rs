@@ -19,7 +19,7 @@
 
 use std::path::Path;
 
-use cpma_api::{Persist, PersistError};
+use cpma_api::{ConfigError, Persist, PersistError};
 use cpma_persist::snapshot::{ByteReader, ByteSink, SnapshotEnvelope};
 
 use crate::core::PmaCore;
@@ -29,8 +29,24 @@ use crate::{LeafStorage, PmaConfig, PmaKey};
 /// Meta section: key width (u32), eleven config scalars (seven f64, four
 /// u64 — the last being the [`crate::ForceCodec`] discriminant), three
 /// geometry / count fields (u64 each), and a legacy head-layout tag (u64,
-/// always written as 0). Floats travel as IEEE-754 bit patterns.
+/// always written as 0). Floats travel as IEEE-754 bit patterns. The
+/// seventh f64 is a legacy bitmap-vs-delta cost threshold, always written
+/// as 1.0 (see [`check_legacy_codec_threshold`]).
 const META_LEN: usize = 4 + 7 * 8 + 4 * 8 + 3 * 8 + 8;
+
+/// The bitmap-vs-delta cost threshold slot older snapshots filled from a
+/// config knob; the codec's break-even is fixed at 1.0. Any finite
+/// positive legacy value loads and is ignored; the values the knob
+/// rejected stay typed [`PersistError::Config`] errors.
+fn check_legacy_codec_threshold(t: f64) -> Result<(), PersistError> {
+    if !t.is_finite() {
+        return Err(ConfigError::new("codec threshold", "must be finite").into());
+    }
+    if t <= 0.0 {
+        return Err(ConfigError::new("codec threshold", "must be positive").into());
+    }
+    Ok(())
+}
 
 /// Largest head-layout tag older snapshots wrote (they selected among four
 /// search structures derived from the head array). The heads themselves
@@ -63,7 +79,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
         meta.put_f64(cfg.bounds.lower_root);
         meta.put_f64(cfg.bounds.rebuild_target);
         meta.put_f64(cfg.growing_factor);
-        meta.put_f64(cfg.bitmap_leaf_threshold);
+        meta.put_f64(1.0);
         meta.put_u64(cfg.min_leaves as u64);
         meta.put_u64(cfg.point_update_cutoff as u64);
         meta.put_u64(cfg.full_rebuild_divisor as u64);
@@ -100,22 +116,25 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
                 found: key_bytes,
             });
         }
+        let bounds = DensityBounds {
+            upper_leaf: r.f64("upper_leaf")?,
+            upper_root: r.f64("upper_root")?,
+            lower_leaf: r.f64("lower_leaf")?,
+            lower_root: r.f64("lower_root")?,
+            rebuild_target: r.f64("rebuild_target")?,
+        };
+        let growing_factor = r.f64("growing_factor")?;
+        let codec_threshold = r.f64("codec threshold")?;
         let cfg = PmaConfig {
-            bounds: DensityBounds {
-                upper_leaf: r.f64("upper_leaf")?,
-                upper_root: r.f64("upper_root")?,
-                lower_leaf: r.f64("lower_leaf")?,
-                lower_root: r.f64("lower_root")?,
-                rebuild_target: r.f64("rebuild_target")?,
-            },
-            growing_factor: r.f64("growing_factor")?,
-            bitmap_leaf_threshold: r.f64("bitmap_leaf_threshold")?,
+            bounds,
+            growing_factor,
             min_leaves: as_usize(r.u64("min_leaves")?, "min_leaves")?,
             point_update_cutoff: as_usize(r.u64("point_update_cutoff")?, "point_update_cutoff")?,
             full_rebuild_divisor: as_usize(r.u64("full_rebuild_divisor")?, "full_rebuild_divisor")?,
             force_codec: force_codec_from_tag(r.u64("force_codec")?)?,
         };
         cfg.check()?;
+        check_legacy_codec_threshold(codec_threshold)?;
         let len = as_usize(r.u64("len")?, "len")?;
         let num_leaves = as_usize(r.u64("num_leaves")?, "num_leaves")?;
         let leaf_units = as_usize(r.u64("leaf_units")?, "leaf_units")?;
@@ -136,7 +155,7 @@ impl<K: PmaKey, L: LeafStorage<K>> PmaCore<K, L> {
             )));
         }
         let mut storage = L::read_payload(num_leaves, leaf_units, &env.payload)?;
-        storage.set_codec_policy(cfg.force_codec, cfg.bitmap_leaf_threshold);
+        storage.set_codec_policy(cfg.force_codec);
         let (mut total_len, mut total_units) = (0usize, 0usize);
         for leaf in 0..num_leaves {
             total_len += storage.count(leaf);

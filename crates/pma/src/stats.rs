@@ -64,7 +64,9 @@ pub struct PmaStats {
     /// Leaves rewritten across merge *and* redistribution phases (the
     /// touched-leaf traffic the mixed pipeline exists to halve).
     pub leaves_touched: u64,
-    /// Maximal disjoint ranges handed to the redistribute phase.
+    /// Ranges redistributed: maximal disjoint ranges handed to the batch
+    /// pipeline's redistribute phase, plus one per serial redistribute
+    /// on the point-update path.
     pub redistribute_ranges: u64,
     /// Whole-structure rebuilds: huge-batch merges, bulk loads into an
     /// empty structure, and root-violation grows/shrinks.

@@ -177,11 +177,7 @@ fn mixed_codec_snapshots_roundtrip_byte_identically() {
 #[test]
 fn forced_codec_configs_survive_snapshots() {
     for force in [ForceCodec::Delta, ForceCodec::Bitmap, ForceCodec::Auto] {
-        let cfg = PmaConfig::builder()
-            .force_codec(force)
-            .bitmap_leaf_threshold(0.8)
-            .build()
-            .unwrap();
+        let cfg = PmaConfig::builder().force_codec(force).build().unwrap();
         let mut set = Cpma::with_config(cfg);
         let mut batch = clustered_keys(10_000, 64, 1 << 20, 0xA007);
         set.insert_batch(&mut batch, false);
@@ -198,28 +194,4 @@ fn forced_codec_configs_survive_snapshots() {
             assert_eq!(bitmap, 0, "Delta policy not re-applied after load");
         }
     }
-}
-
-#[test]
-fn invalid_codec_knobs_are_rejected() {
-    assert!(PmaConfig::builder()
-        .bitmap_leaf_threshold(0.0)
-        .build()
-        .is_err());
-    assert!(PmaConfig::builder()
-        .bitmap_leaf_threshold(-1.0)
-        .build()
-        .is_err());
-    assert!(PmaConfig::builder()
-        .bitmap_leaf_threshold(f64::NAN)
-        .build()
-        .is_err());
-    assert!(PmaConfig::builder()
-        .bitmap_leaf_threshold(f64::INFINITY)
-        .build()
-        .is_err());
-    assert!(PmaConfig::builder()
-        .bitmap_leaf_threshold(0.5)
-        .build()
-        .is_ok());
 }

@@ -157,6 +157,57 @@ fn legacy_head_layout_tags_load_and_unknown_tags_are_typed() {
     }
 }
 
+/// Rewrite the legacy bitmap-vs-delta cost threshold (the seventh f64 of
+/// the meta section, after the key width) of a snapshot image, keeping
+/// the checksums valid.
+fn with_codec_threshold(bytes: &[u8], t: f64) -> Vec<u8> {
+    use cpma_persist::snapshot::SnapshotEnvelope;
+    let mut env = SnapshotEnvelope::from_bytes(bytes).unwrap();
+    let at = 4 + 6 * 8;
+    env.meta[at..at + 8].copy_from_slice(&t.to_bits().to_le_bytes());
+    env.to_bytes()
+}
+
+/// Older snapshots recorded a configurable bitmap-vs-delta cost
+/// threshold. Every finite positive legacy value loads the same set (the
+/// codec tags travel in the payload); the values the old knob rejected
+/// are typed config errors.
+#[test]
+fn legacy_codec_thresholds_load_and_invalid_ones_are_typed() {
+    let pma: Pma = build(&sample_keys(20_000));
+    let cpma: Cpma = build(&sample_keys(10_000));
+    let pma_bytes = pma.to_snapshot_bytes();
+    let cpma_bytes = cpma.to_snapshot_bytes();
+    // Freshly written images carry 1.0.
+    assert_eq!(with_codec_threshold(&pma_bytes, 1.0), pma_bytes);
+    assert_eq!(with_codec_threshold(&cpma_bytes, 1.0), cpma_bytes);
+    for t in [0.5, 0.8, 1.5, f64::MIN_POSITIVE, f64::MAX] {
+        let back = Pma::<u64>::from_snapshot_bytes(&with_codec_threshold(&pma_bytes, t)).unwrap();
+        assert_eq!(pma, back, "pma, legacy threshold {t}");
+        let cback = Cpma::from_snapshot_bytes(&with_codec_threshold(&cpma_bytes, t)).unwrap();
+        assert_eq!(cpma, cback, "cpma, legacy threshold {t}");
+        cback.check_invariants();
+        // Re-saving writes the canonical 1.0 again.
+        assert_eq!(cback.to_snapshot_bytes(), cpma_bytes);
+    }
+    for t in [0.0, -0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        assert!(
+            matches!(
+                Pma::<u64>::from_snapshot_bytes(&with_codec_threshold(&pma_bytes, t)),
+                Err(PersistError::Config(_))
+            ),
+            "pma, threshold {t}"
+        );
+        assert!(
+            matches!(
+                Cpma::from_snapshot_bytes(&with_codec_threshold(&cpma_bytes, t)),
+                Err(PersistError::Config(_))
+            ),
+            "cpma, threshold {t}"
+        );
+    }
+}
+
 #[test]
 fn non_default_config_survives_roundtrip() {
     let cfg = PmaConfig::builder()

@@ -10,14 +10,13 @@
 //! trees (explicit batch interfaces fed by an aggregation layer) and
 //! PaC-tree-style snapshot readers:
 //!
-//! * [`ShardedSet<S, N>`] range-partitions the key space into shards
-//!   of any [`cpma_api::BatchSet`] + [`cpma_api::RangeSet`] backend,
-//!   splits each sorted batch at learned splitters, and applies the
-//!   per-shard sub-batches **in parallel** on the workspace pool. Its
-//!   rebalance pass is self-tuning: always-on [`RebalanceStats`] track
-//!   per-shard traffic and imbalance, and the shard count doubles or
-//!   halves between configurable bounds ([`ShardTuning`]) as occupancy
-//!   and traffic demand. It implements the full canonical trait
+//! * [`ShardedSet<S, N>`] range-partitions the key space into a fixed
+//!   `N` shards of any [`cpma_api::BatchSet`] + [`cpma_api::RangeSet`]
+//!   backend, splits each sorted batch at learned splitters, and applies
+//!   the per-shard sub-batches **in parallel** on the workspace pool.
+//!   When one shard outgrows [`SKEW_FACTOR`]× the mean, it re-learns the
+//!   splitters from its contents; always-on [`RebalanceStats`] count the
+//!   batches and rebalances. It implements the full canonical trait
 //!   hierarchy itself, so the conformance suite, the equivalence and
 //!   determinism tests, and `fgraph::SetGraph` all gate it unchanged.
 //! * [`Combiner<S>`] is a flat-combining writer front-end: any thread may
@@ -57,7 +56,4 @@ mod sharded;
 pub use combiner::{Combiner, CombinerConfig, CombinerStats, Op};
 pub use cpma_api::{Persist, PersistError};
 pub use cpma_persist::{FsyncPolicy, RecoveryReport, WalConfig};
-pub use sharded::{
-    RebalanceStats, ShardTuning, ShardedSet, DEFAULT_TARGET_PER_SHARD, REBALANCE_MIN_PER_SHARD,
-    SKEW_FACTOR,
-};
+pub use sharded::{RebalanceStats, ShardedSet, REBALANCE_MIN_PER_SHARD, SKEW_FACTOR};

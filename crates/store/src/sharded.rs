@@ -1,5 +1,5 @@
-//! Range-partitioned sharding over any batch-parallel set backend, with
-//! skew-triggered rebalance and statistics-driven shard-count autotuning.
+//! Range-partitioned sharding over any batch-parallel set backend, with a
+//! fixed shard count and skew-triggered rebalance.
 //!
 //! # Shard routing
 //!
@@ -28,45 +28,21 @@
 //! mixed pass — where the former remove-then-insert split walked every
 //! shard twice.
 //!
-//! # Splitter learning, rebalance, and shard-count autotuning
+//! # Splitter learning and skew rebalance
 //!
-//! A freshly built set learns its splitters from the data: splitter `i` is
-//! the `(i + 1)/n` quantile of the sorted input. An empty set starts from
-//! evenly spaced cut points over the `u64` domain. Skewed traffic can
-//! outgrow either choice, so after every batch update the set checks the
-//! observed skew: once it holds at least [`REBALANCE_MIN_PER_SHARD`]
-//! elements per shard on average, and the fullest shard exceeds
-//! [`SKEW_FACTOR`]× the mean, the set re-learns quantile splitters from
-//! its own (sorted) contents and redistributes — an `O(n)` rebuild, the
-//! same cost class as the backend PMA's own resize, and deterministic
-//! because it depends only on the stored contents.
-//!
-//! The same pass also *autotunes the shard count*. Every batch update
-//! feeds [`RebalanceStats`] (per-shard batch-op counts since the last
-//! reshard, rebalance triggers, post-rebalance imbalance), and the
-//! rebalance check picks the next shard count from those statistics by
-//! doubling or halving between [`ShardTuning::min_shards`] and
-//! [`ShardTuning::max_shards`]:
-//!
-//! * **grow** (double) when the mean shard occupancy exceeds twice
-//!   [`ShardTuning::target_per_shard`], or when one shard absorbed more
-//!   than three quarters of the batch traffic in the current counting
-//!   window (splitting the hot range spreads future batch fan-out);
-//! * **shrink** (halve) when the mean occupancy falls below half the
-//!   target, so a drained set does not pay cross-shard stitching for
-//!   near-empty shards.
-//!
-//! The decision depends only on the stored contents and the (schedule-
-//! independent) batch-op counters, so resharding is as deterministic as
-//! the rebalance itself and the wrapper keeps passing the conformance,
-//! equivalence, and determinism suites at any thread budget.
-//!
-//! By default the shard count is **pinned** to the const parameter `N`
-//! (`min_shards == max_shards == N` — exactly the pre-autotuning
-//! behaviour). Opt in either at the type level via the trailing
-//! `MIN`/`MAX` const parameters (`ShardedSet<Cpma, 4, 1, 64>`), which
-//! keeps the trait constructors (`new_set`/`build_sorted`) usable by the
-//! generic suites, or at runtime via [`ShardedSet::set_tuning`].
+//! The shard count is fixed: `N` shards from `new_set`/`build_sorted`,
+//! or the count a checkpoint recorded when loaded. A freshly built set
+//! learns its splitters from the data: splitter `i` is the `(i + 1)/n`
+//! quantile of the sorted input. An empty set starts from evenly spaced
+//! cut points over the `u64` domain. Skewed traffic can outgrow either
+//! choice, so after every batch update the set checks the observed skew:
+//! once it holds at least [`REBALANCE_MIN_PER_SHARD`] elements per shard
+//! on average, and the fullest shard exceeds [`SKEW_FACTOR`]× the mean,
+//! the set re-learns quantile splitters from its own (sorted) contents
+//! and redistributes — an `O(n)` rebuild, the same cost class as the
+//! backend PMA's own resize, and deterministic because it depends only
+//! on the stored contents. Always-on [`RebalanceStats`] count the batches
+//! and rebalances and record the post-rebalance imbalance.
 
 use cpma_api::{
     range_to_inclusive, BatchOp, BatchOutcome, BatchSet, ConfigError, OrderedSet, ParallelChunks,
@@ -86,82 +62,16 @@ pub const REBALANCE_MIN_PER_SHARD: usize = 256;
 /// many times the mean shard load.
 pub const SKEW_FACTOR: usize = 2;
 
-/// Default [`ShardTuning::target_per_shard`]: the mean shard occupancy
-/// the autotuner steers toward (grow above 2×, shrink below ½×).
-pub const DEFAULT_TARGET_PER_SHARD: usize = 1024;
+/// The occupancy target older checkpoints recorded in the manifest's
+/// third legacy field (when the shard count was autotuned); pinned sets
+/// write it unchanged so their manifests stay byte-identical.
+const LEGACY_TARGET_PER_SHARD: u64 = 1024;
 
-/// Shard-count bounds and sizing target for [`ShardedSet`]'s autotuner.
-///
-/// `min_shards == max_shards` pins the shard count (autotuning off) —
-/// that is the default, with both bounds equal to the type's `N`.
-///
-/// # Examples
-///
-/// ```
-/// use cpma_store::ShardTuning;
-///
-/// let t = ShardTuning::auto(1, 64);
-/// assert!(t.check().is_ok());
-/// assert!(ShardTuning::auto(8, 4).check().is_err()); // min > max
-/// assert_eq!(ShardTuning::fixed(4).max_shards, 4);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardTuning {
-    /// Lower bound for the autotuned shard count (inclusive, ≥ 1).
-    pub min_shards: usize,
-    /// Upper bound for the autotuned shard count (inclusive).
-    pub max_shards: usize,
-    /// Mean elements per shard the autotuner steers toward: grow when the
-    /// mean exceeds `2 × target_per_shard`, shrink when it falls below
-    /// `target_per_shard / 2`. The factor-four hysteresis band keeps a
-    /// doubling from immediately re-triggering a halving.
-    pub target_per_shard: usize,
-}
-
-impl ShardTuning {
-    /// Pin the shard count to exactly `n` (autotuning off).
-    pub fn fixed(n: usize) -> Self {
-        Self {
-            min_shards: n,
-            max_shards: n,
-            target_per_shard: DEFAULT_TARGET_PER_SHARD,
-        }
-    }
-
-    /// Autotune between `min` and `max` shards with the default
-    /// occupancy target.
-    pub fn auto(min: usize, max: usize) -> Self {
-        Self {
-            min_shards: min,
-            max_shards: max,
-            target_per_shard: DEFAULT_TARGET_PER_SHARD,
-        }
-    }
-
-    /// Check parameter validity ([`ShardedSet::set_tuning`] returns this;
-    /// the trait constructors assert it).
-    pub fn check(&self) -> Result<(), ConfigError> {
-        if self.min_shards < 1 {
-            return Err(ConfigError::new("min_shards", "must be at least 1"));
-        }
-        if self.max_shards < self.min_shards {
-            return Err(ConfigError::new("max_shards", "must be ≥ min_shards"));
-        }
-        if self.target_per_shard < 1 {
-            return Err(ConfigError::new("target_per_shard", "must be at least 1"));
-        }
-        Ok(())
-    }
-}
-
-/// Always-on rebalance and autotuning statistics for a [`ShardedSet`].
+/// Always-on rebalance statistics for a [`ShardedSet`].
 ///
 /// Mirrors `PmaStats`: a handful of integer adds per *batch*, kept in the
 /// structure itself, so the counters are cheap, deterministic at any
-/// thread count, and never need a feature flag. The per-shard traffic
-/// window ([`RebalanceStats::shard_batch_ops`]) resets whenever the
-/// splitters change (skew rebalance or reshard), since the attribution is
-/// only meaningful for one partitioning.
+/// thread count, and never need a feature flag.
 ///
 /// # Examples
 ///
@@ -175,7 +85,7 @@ impl ShardTuning {
 /// let stats = s.rebalance_stats();
 /// assert_eq!(stats.batches, 1);
 /// assert_eq!(stats.batch_ops, 3);
-/// assert_eq!(stats.shard_batch_ops.iter().sum::<u64>(), 3);
+/// assert_eq!(stats.skew_rebalances, 0);
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RebalanceStats {
@@ -183,21 +93,12 @@ pub struct RebalanceStats {
     pub batches: u64,
     /// Total batch elements routed across all batch applications.
     pub batch_ops: u64,
-    /// Batch elements routed to each shard since the last splitter
-    /// change — the traffic-skew window the autotuner reads.
-    pub shard_batch_ops: Vec<u64>,
     /// Skew-triggered splitter re-learns (fullest shard > [`SKEW_FACTOR`]×
     /// mean).
     pub skew_rebalances: u64,
-    /// Reshardings that increased the shard count (a doubling, or one
-    /// clamp jump up to new [`ShardTuning`] bounds after `set_tuning`).
-    pub grows: u64,
-    /// Reshardings that decreased the shard count (a halving, or one
-    /// clamp jump down to new [`ShardTuning`] bounds after `set_tuning`).
-    pub shrinks: u64,
-    /// Imbalance after the most recent rebalance/reshard: fullest shard
-    /// over mean occupancy, in permille (1000 = perfectly balanced; 0 =
-    /// no rebalance has happened yet or the set was empty).
+    /// Imbalance after the most recent rebalance: fullest shard over mean
+    /// occupancy, in permille (1000 = perfectly balanced; 0 = no
+    /// rebalance has happened yet or the set was empty).
     pub post_rebalance_imbalance_permille: u64,
 }
 
@@ -205,61 +106,20 @@ impl RebalanceStats {
     /// One compact human-readable line (the bench drivers print this).
     pub fn summary(&self) -> String {
         format!(
-            "batches={} batch_ops={} skew_rebalances={} grows={} shrinks={} \
-             post_imbalance={}‰",
+            "batches={} batch_ops={} skew_rebalances={} post_imbalance={}‰",
             self.batches,
             self.batch_ops,
             self.skew_rebalances,
-            self.grows,
-            self.shrinks,
             self.post_rebalance_imbalance_permille
         )
     }
 }
 
-/// A range-partitioned composition of ordered-set backends that applies
-/// sorted batches to its shards in parallel and autotunes its shard count.
-///
-/// `ShardedSet` implements the same canonical trait hierarchy as its
-/// backend `S`, so it drops into every generic driver in the workspace —
-/// including [`Combiner`](crate::Combiner), benches, and
-/// `fgraph::SetGraph`.
-///
-/// `N` (default 8) is the **initial** shard count used by `new_set` and
-/// `build_sorted`. The trailing `MIN`/`MAX` const parameters bound the
-/// autotuner; their default `0` is a sentinel meaning "pinned to `N`", so
-/// `ShardedSet<S, N>` behaves exactly like a fixed-count sharding while
-/// `ShardedSet<S, N, MIN, MAX>` reshards between `MIN` and `MAX`. The
-/// module header in `sharded.rs` documents the resharding policy.
-///
-/// # Examples
-///
-/// ```
-/// use cpma_api::{BatchSet, OrderedSet, RangeSet};
-/// use cpma_store::ShardedSet;
-/// use std::collections::BTreeSet;
-///
-/// // Fixed at 4 shards (the default tuning pins the count to N).
-/// let keys: Vec<u64> = (0..1000).collect();
-/// let s: ShardedSet<BTreeSet<u64>, 4> = BatchSet::build_sorted(&keys);
-/// assert_eq!(s.shard_count(), 4);
-/// assert_eq!(s.len(), 1000);
-/// assert_eq!(s.range_sum(10..=12), 33);
-///
-/// // Autotuned between 1 and 64 shards: a large batch grows the count.
-/// let mut auto: ShardedSet<BTreeSet<u64>, 4, 1, 64> = BatchSet::new_set();
-/// let big: Vec<u64> = (0..20_000).collect();
-/// auto.insert_batch_sorted(&big);
-/// assert!(auto.shard_count() > 4);
-/// assert_eq!(RangeSet::to_vec(&auto), big);
-/// ```
 /// Registry mirror of [`RebalanceStats`] (names `store.*`): the scalar
 /// counters stream into `cpma-obs` cells as they happen, per-shard
 /// sub-batch sizes feed a `store.shard_batch_ops` histogram (the traffic
 /// skew view), `store.shards` gauges the live shard count, and rebuilds
-/// are timed under `store.rebalance.ns`. The autotuner itself keeps
-/// reading the plain [`RebalanceStats`] struct — determinism needs the
-/// schedule-independent window, not the process-wide aggregate.
+/// are timed under `store.rebalance.ns`.
 ///
 /// `Clone` registers fresh zeroed cells (gauge included), so snapshot
 /// clones published by a combiner neither double-count traffic nor
@@ -269,8 +129,6 @@ struct StoreCounters {
     batch_ops: Counter,
     shard_batch_ops: Histogram,
     skew_rebalances: Counter,
-    grows: Counter,
-    shrinks: Counter,
     shards: Gauge,
     rebalance_ns: Histogram,
 }
@@ -283,8 +141,6 @@ impl StoreCounters {
             batch_ops: r.counter("store.batch_ops", Unit::Count),
             shard_batch_ops: r.histogram("store.shard_batch_ops", Unit::Count),
             skew_rebalances: r.counter("store.rebalances.skew", Unit::Count),
-            grows: r.counter("store.rebalances.grow", Unit::Count),
-            shrinks: r.counter("store.rebalances.shrink", Unit::Count),
             shards: r.gauge("store.shards"),
             rebalance_ns: r.histogram("store.rebalance.ns", Unit::Nanos),
         }
@@ -297,15 +153,50 @@ impl Clone for StoreCounters {
     }
 }
 
+/// A range-partitioned composition of ordered-set backends that applies
+/// sorted batches to its shards in parallel.
+///
+/// `ShardedSet` implements the same canonical trait hierarchy as its
+/// backend `S`, so it drops into every generic driver in the workspace —
+/// including [`Combiner`](crate::Combiner), benches, and
+/// `fgraph::SetGraph`.
+///
+/// `N` (default 8) is the shard count `new_set` and `build_sorted`
+/// create. The count never changes afterwards: skew rebalance re-learns
+/// the splitters but keeps the shards (see the module docs in
+/// `sharded.rs`), and [`Persist::load`] restores the count the checkpoint
+/// recorded.
+///
+/// # Examples
+///
+/// ```
+/// use cpma_api::{BatchSet, OrderedSet, RangeSet};
+/// use cpma_store::ShardedSet;
+/// use std::collections::BTreeSet;
+///
+/// let keys: Vec<u64> = (0..1000).collect();
+/// let s: ShardedSet<BTreeSet<u64>, 4> = BatchSet::build_sorted(&keys);
+/// assert_eq!(s.shard_count(), 4);
+/// assert_eq!(s.len(), 1000);
+/// assert_eq!(s.range_sum(10..=12), 33);
+///
+/// // Dense small keys all land in shard 0 under the empty set's domain
+/// // splitters: the skew rebalance re-learns the splitters, and the
+/// // count stays at 4.
+/// let dense: Vec<u64> = (0..2048).collect();
+/// let mut skewed: ShardedSet<BTreeSet<u64>, 4> = BatchSet::new_set();
+/// skewed.insert_batch_sorted(&dense);
+/// assert_eq!(skewed.shard_count(), 4);
+/// assert_eq!(skewed.rebalance_stats().skew_rebalances, 1);
+/// assert_eq!(skewed.shard_lens(), vec![512; 4]);
+/// ```
 #[derive(Clone)]
-pub struct ShardedSet<S, const N: usize = 8, const MIN: usize = 0, const MAX: usize = 0> {
-    /// The backends, in key order; `shards.len()` is the live shard count.
+pub struct ShardedSet<S, const N: usize = 8> {
+    /// The backends, in key order; `shards.len()` is the shard count.
     shards: Vec<S>,
     /// `splitters[i]` = smallest key (widened to `u64`) routed to shard
     /// `i + 1`; strictly context-dependent but always non-decreasing.
     splitters: Vec<u64>,
-    /// Autotuner bounds and occupancy target.
-    tuning: ShardTuning,
     /// Always-on rebalance/traffic counters.
     stats: RebalanceStats,
     /// Registry mirror of `stats` (see [`StoreCounters`]).
@@ -347,34 +238,15 @@ fn learned_splitters<K: SetKey>(n: usize, elems: &[K]) -> Vec<u64> {
         .collect()
 }
 
-impl<S, const N: usize, const MIN: usize, const MAX: usize> ShardedSet<S, N, MIN, MAX> {
-    /// The tuning resolved from the const parameters: `0` sentinels pin
-    /// the count to `N`.
-    fn const_tuning() -> ShardTuning {
-        ShardTuning {
-            min_shards: if MIN == 0 { N } else { MIN },
-            max_shards: if MAX == 0 { N } else { MAX },
-            target_per_shard: DEFAULT_TARGET_PER_SHARD,
-        }
-    }
-
+impl<S, const N: usize> ShardedSet<S, N> {
     fn fresh(shards: Vec<S>, splitters: Vec<u64>) -> Self {
         assert!(N >= 1, "ShardedSet needs at least one shard");
-        let tuning = Self::const_tuning();
-        if let Err(e) = tuning.check() {
-            panic!("{e}");
-        }
-        let stats = RebalanceStats {
-            shard_batch_ops: vec![0; shards.len()],
-            ..RebalanceStats::default()
-        };
         let counters = StoreCounters::new();
         counters.shards.set(shards.len() as i64);
         Self {
             shards,
             splitters,
-            tuning,
-            stats,
+            stats: RebalanceStats::default(),
             counters,
         }
     }
@@ -392,8 +264,8 @@ impl<S, const N: usize, const MIN: usize, const MAX: usize> ShardedSet<S, N, MIN
         self.shards.iter().map(|s| s.len()).collect()
     }
 
-    /// The live shard count (starts at `N`; moves within the tuning
-    /// bounds when autotuning is enabled).
+    /// The shard count: `N` for a built set, the recorded count for a
+    /// loaded one.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -403,37 +275,16 @@ impl<S, const N: usize, const MIN: usize, const MAX: usize> ShardedSet<S, N, MIN
         &self.splitters
     }
 
-    /// The active autotuner bounds and target.
-    pub fn tuning(&self) -> &ShardTuning {
-        &self.tuning
-    }
-
-    /// Replace the autotuner configuration. Takes effect at the next
-    /// batch update's rebalance check (which also clamps an out-of-bounds
-    /// current count back into `[min_shards, max_shards]`).
-    pub fn set_tuning(&mut self, tuning: ShardTuning) -> Result<(), ConfigError> {
-        tuning.check()?;
-        self.tuning = tuning;
-        Ok(())
-    }
-
     /// The rebalance/traffic statistics accumulated so far.
     pub fn rebalance_stats(&self) -> &RebalanceStats {
         &self.stats
     }
 
-    /// Zero the statistics (the per-shard traffic window keeps its
-    /// current length).
+    /// Zero the statistics.
     pub fn reset_stats(&mut self) {
-        let n = self.shards.len();
-        self.stats = RebalanceStats {
-            shard_batch_ops: vec![0; n],
-            ..RebalanceStats::default()
-        };
+        self.stats = RebalanceStats::default();
     }
-}
 
-impl<S, const N: usize, const MIN: usize, const MAX: usize> ShardedSet<S, N, MIN, MAX> {
     /// Record one batch application of `len` ops split at `bounds` into
     /// the traffic counters.
     fn record_batch(&mut self, len: usize, bounds: &[usize]) {
@@ -441,10 +292,8 @@ impl<S, const N: usize, const MIN: usize, const MAX: usize> ShardedSet<S, N, MIN
         self.stats.batch_ops += len as u64;
         self.counters.batches.inc();
         self.counters.batch_ops.add(len as u64);
-        for (i, ops) in self.stats.shard_batch_ops.iter_mut().enumerate() {
-            let routed = (bounds[i + 1] - bounds[i]) as u64;
-            *ops += routed;
-            self.counters.shard_batch_ops.record(routed);
+        for w in bounds.windows(2) {
+            self.counters.shard_batch_ops.record((w[1] - w[0]) as u64);
         }
     }
 
@@ -476,88 +325,38 @@ impl<S, const N: usize, const MIN: usize, const MAX: usize> ShardedSet<S, N, MIN
             .sum()
     }
 
-    /// The shard count the statistics ask for: double while occupancy or
-    /// traffic concentration warrants it, halve while the set is too
-    /// empty for its shards, clamp into the tuning bounds. Depends only
-    /// on stored contents and deterministic batch-op counters.
-    fn desired_shard_count(&self, total: usize) -> usize {
-        let cur = self.shards.len();
-        let t = &self.tuning;
-        if cur < t.min_shards || cur > t.max_shards {
-            return cur.clamp(t.min_shards, t.max_shards);
-        }
-        let overfull = total > cur * 2 * t.target_per_shard;
-        // Traffic concentration: one shard absorbed > ¾ of a full op
-        // window — splitting its range spreads future batch fan-out.
-        let window: u64 = self.stats.shard_batch_ops.iter().sum();
-        let hot = self
-            .stats
-            .shard_batch_ops
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0);
-        let window_ready = window >= (cur * REBALANCE_MIN_PER_SHARD) as u64;
-        let hot_traffic = cur >= 2 && window_ready && hot * 4 > window * 3;
-        if cur < t.max_shards && (overfull || hot_traffic) {
-            return (cur * 2).min(t.max_shards);
-        }
-        // Shrinking is pure cost-saving, so it is lazy: it waits for a
-        // full traffic window since the last splitter change and never
-        // fires while that window is concentrated on one shard (which
-        // would undo a traffic-driven grow and oscillate).
-        if cur > t.min_shards
-            && window_ready
-            && !hot_traffic
-            && total * 2 < cur * t.target_per_shard
-        {
-            return (cur / 2).max(t.min_shards);
-        }
-        cur
-    }
-
     /// Rebalance pass, run after every batch update: re-learn quantile
-    /// splitters (and possibly reshard) if the observed skew, occupancy,
-    /// or traffic statistics warrant it. Deterministic at any thread
-    /// count — every input is schedule-independent.
+    /// splitters if the fullest shard holds more than [`SKEW_FACTOR`]×
+    /// the mean. Deterministic at any thread count — it reads only the
+    /// stored contents.
     fn maybe_rebalance<K: SetKey>(&mut self)
     where
         S: BatchSet<K> + RangeSet<K> + Send + Sync,
     {
-        let cur = self.shards.len();
+        let count = self.shards.len();
         let lens: Vec<usize> = self.shards.iter().map(|s| s.len()).collect();
         let total: usize = lens.iter().sum();
-        let desired = self.desired_shard_count(total);
         let max = lens.into_iter().max().unwrap_or(0);
-        let skewed =
-            cur > 1 && total >= cur * REBALANCE_MIN_PER_SHARD && max * cur > total * SKEW_FACTOR;
-        if desired == cur && !skewed {
-            return;
-        }
+        let skewed = count > 1
+            && total >= count * REBALANCE_MIN_PER_SHARD
+            && max * count > total * SKEW_FACTOR;
         if skewed {
             self.stats.skew_rebalances += 1;
             self.counters.skew_rebalances.inc();
+            self.rebuild();
         }
-        if desired > cur {
-            self.stats.grows += 1;
-            self.counters.grows.inc();
-        } else if desired < cur {
-            self.stats.shrinks += 1;
-            self.counters.shrinks.inc();
-        }
-        self.rebuild(desired);
     }
 
-    /// Rebuild into `count` shards with quantile splitters learned from
-    /// the stored contents; resets the per-shard traffic window and
-    /// records the post-rebalance imbalance.
-    fn rebuild<K: SetKey>(&mut self, count: usize)
+    /// Rebuild the shards with quantile splitters learned from the stored
+    /// contents; records the post-rebalance imbalance.
+    fn rebuild<K: SetKey>(&mut self)
     where
         S: BatchSet<K> + RangeSet<K> + Send + Sync,
     {
         let mut span = cpma_obs::span_with(&self.counters.rebalance_ns, "store.rebalance");
         let all = RangeSet::to_vec(self);
         span.set_items(all.len() as u64);
+        let count = self.shards.len();
         self.splitters = learned_splitters(count, &all);
         let bounds = split_bounds(&self.splitters, &all);
         let bounds = &bounds;
@@ -565,8 +364,6 @@ impl<S, const N: usize, const MIN: usize, const MAX: usize> ShardedSet<S, N, MIN
             .into_par_iter()
             .map(|i| S::build_sorted(&all[bounds[i]..bounds[i + 1]]))
             .collect();
-        self.stats.shard_batch_ops = vec![0; count];
-        self.counters.shards.set(count as i64);
         let max = self.shards.iter().map(|s| s.len()).max().unwrap_or(0);
         self.stats.post_rebalance_imbalance_permille = if all.is_empty() {
             0
@@ -576,9 +373,7 @@ impl<S, const N: usize, const MIN: usize, const MAX: usize> ShardedSet<S, N, MIN
     }
 }
 
-impl<K: SetKey, S: OrderedSet<K> + Sync, const N: usize, const MIN: usize, const MAX: usize>
-    OrderedSet<K> for ShardedSet<S, N, MIN, MAX>
-{
+impl<K: SetKey, S: OrderedSet<K> + Sync, const N: usize> OrderedSet<K> for ShardedSet<S, N> {
     const NAME: &'static str = "Sharded";
 
     fn contains(&self, key: K) -> bool {
@@ -673,13 +468,8 @@ impl<K: SetKey, S: OrderedSet<K> + Sync, const N: usize, const MIN: usize, const
     }
 }
 
-impl<
-        K: SetKey,
-        S: BatchSet<K> + RangeSet<K> + Send + Sync,
-        const N: usize,
-        const MIN: usize,
-        const MAX: usize,
-    > BatchSet<K> for ShardedSet<S, N, MIN, MAX>
+impl<K: SetKey, S: BatchSet<K> + RangeSet<K> + Send + Sync, const N: usize> BatchSet<K>
+    for ShardedSet<S, N>
 {
     fn new_set() -> Self {
         Self::fresh((0..N).map(|_| S::new_set()).collect(), default_splitters(N))
@@ -733,9 +523,7 @@ impl<
     }
 }
 
-impl<K: SetKey, S: RangeSet<K> + Sync, const N: usize, const MIN: usize, const MAX: usize>
-    RangeSet<K> for ShardedSet<S, N, MIN, MAX>
-{
+impl<K: SetKey, S: RangeSet<K> + Sync, const N: usize> RangeSet<K> for ShardedSet<S, N> {
     fn scan_from(&self, start: K, f: &mut dyn FnMut(K) -> bool) {
         let first = self.shard_of(start.to_u64());
         let mut live = true;
@@ -767,13 +555,8 @@ impl<K: SetKey, S: RangeSet<K> + Sync, const N: usize, const MIN: usize, const M
     }
 }
 
-impl<
-        K: SetKey,
-        S: ParallelChunks<K> + Sync,
-        const N: usize,
-        const MIN: usize,
-        const MAX: usize,
-    > ParallelChunks<K> for ShardedSet<S, N, MIN, MAX>
+impl<K: SetKey, S: ParallelChunks<K> + Sync, const N: usize> ParallelChunks<K>
+    for ShardedSet<S, N>
 {
     /// Shards are disjoint and ascending, so each shard's chunks are valid
     /// chunks of the whole set; visit the shards in parallel too.
@@ -799,25 +582,28 @@ fn parse_shard_name(name: &str) -> Option<usize> {
 /// Shard-per-file checkpoints: `save` writes a *directory* holding one
 /// backend snapshot per shard (each via `S::save`, so each file is
 /// individually checksummed) plus a `MANIFEST` that records the shard
-/// count, the [`ShardTuning`], and the splitters — itself a checksummed
-/// [`SnapshotEnvelope`], written atomically and written **last**, so a
-/// fresh checkpoint directory is all-or-nothing at the manifest: until
-/// the manifest lands, `load` fails typed and recovery falls back to an
-/// older checkpoint.
+/// count and the splitters — itself a checksummed [`SnapshotEnvelope`],
+/// written atomically and written **last**, so a fresh checkpoint
+/// directory is all-or-nothing at the manifest: until the manifest lands,
+/// `load` fails typed and recovery falls back to an older checkpoint.
+///
+/// The manifest meta also carries three legacy u64 fields from when the
+/// shard count was autotuned (min shards, max shards, occupancy target).
+/// `save` writes `count, count, 1024`, the values a pinned set always
+/// wrote, so the format is unchanged; `load` checks them as before
+/// (min ≥ 1, max ≥ min, target ≥ 1) and otherwise ignores them.
 ///
 /// Re-saving over an existing directory reuses it (stale `shard-*` files
 /// beyond the current count are deleted) but is not crash-atomic; the
 /// durable [`Combiner`](crate::Combiner) always checkpoints into a fresh
 /// `checkpoint-<seq>` directory.
 ///
-/// `load` restores the persisted shard count, tuning, and splitters
-/// (validated: tuning via [`ShardTuning::check`], splitters ascending and
-/// exactly `count − 1`) — the const parameters `N`/`MIN`/`MAX` of the
-/// loading type are *not* consulted, so a set saved mid-autotune reloads
-/// exactly as it was. Traffic statistics restart at zero.
-impl<S: Persist, const N: usize, const MIN: usize, const MAX: usize> Persist
-    for ShardedSet<S, N, MIN, MAX>
-{
+/// `load` restores the persisted shard count and splitters (validated:
+/// splitters ascending and exactly `count − 1`) — the const parameter `N`
+/// of the loading type is *not* consulted, so an image saved with any
+/// count (an autotuned one included) reloads with that count, which then
+/// stays fixed. Traffic statistics restart at zero.
+impl<S: Persist, const N: usize> Persist for ShardedSet<S, N> {
     fn save(&self, path: &Path) -> Result<(), PersistError> {
         std::fs::create_dir_all(path)?;
         for (i, shard) in self.shards.iter().enumerate() {
@@ -832,11 +618,12 @@ impl<S: Persist, const N: usize, const MIN: usize, const MAX: usize> Persist
                 }
             }
         }
+        let count = self.shards.len();
         let mut meta = Vec::new();
-        meta.put_u32(self.shards.len() as u32);
-        meta.put_u64(self.tuning.min_shards as u64);
-        meta.put_u64(self.tuning.max_shards as u64);
-        meta.put_u64(self.tuning.target_per_shard as u64);
+        meta.put_u32(count as u32);
+        meta.put_u64(count as u64);
+        meta.put_u64(count as u64);
+        meta.put_u64(LEGACY_TARGET_PER_SHARD);
         let mut payload = Vec::with_capacity(self.splitters.len() * 8);
         for &s in &self.splitters {
             payload.put_u64(s);
@@ -859,19 +646,14 @@ impl<S: Persist, const N: usize, const MIN: usize, const MAX: usize> Persist
         }
         let mut r = ByteReader::new(&manifest.meta);
         let count = r.u32("shard count")? as usize;
-        let as_usize = |v: u64, what: &'static str| {
-            usize::try_from(v).map_err(|_| PersistError::Corrupt(format!("{what} {v} too large")))
-        };
-        let tuning = ShardTuning {
-            min_shards: as_usize(r.u64("min_shards")?, "min_shards")?,
-            max_shards: as_usize(r.u64("max_shards")?, "max_shards")?,
-            target_per_shard: as_usize(r.u64("target_per_shard")?, "target_per_shard")?,
-        };
+        let min_shards = r.u64("min_shards")?;
+        let max_shards = r.u64("max_shards")?;
+        let target = r.u64("target_per_shard")?;
         r.expect_end("sharded manifest meta")?;
         if count == 0 {
             return Err(PersistError::Corrupt("manifest has zero shards".into()));
         }
-        tuning.check().map_err(PersistError::Config)?;
+        check_legacy_tuning(min_shards, max_shards, target).map_err(PersistError::Config)?;
         if manifest.payload.len() != (count - 1) * 8 {
             return Err(PersistError::Corrupt(format!(
                 "manifest has {} splitter bytes for {count} shards",
@@ -890,19 +672,23 @@ impl<S: Persist, const N: usize, const MIN: usize, const MAX: usize> Persist
         for i in 0..count {
             shards.push(S::load(&path.join(shard_file_name(i)))?);
         }
-        let counters = StoreCounters::new();
-        counters.shards.set(shards.len() as i64);
-        Ok(Self {
-            shards,
-            splitters,
-            tuning,
-            stats: RebalanceStats {
-                shard_batch_ops: vec![0; count],
-                ..RebalanceStats::default()
-            },
-            counters,
-        })
+        Ok(Self::fresh(shards, splitters))
     }
+}
+
+/// The checks older versions applied to the manifest's legacy tuning
+/// fields; a manifest they rejected stays rejected.
+fn check_legacy_tuning(min_shards: u64, max_shards: u64, target: u64) -> Result<(), ConfigError> {
+    if min_shards < 1 {
+        return Err(ConfigError::new("min_shards", "must be at least 1"));
+    }
+    if max_shards < min_shards {
+        return Err(ConfigError::new("max_shards", "must be ≥ min_shards"));
+    }
+    if target < 1 {
+        return Err(ConfigError::new("target_per_shard", "must be at least 1"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -916,7 +702,6 @@ mod tests {
         let shards = (0..splitters.len() + 1).map(|_| BTreeSet::new()).collect();
         let mut s = Sharded4::fresh(shards, Vec::new());
         s.splitters = splitters;
-        s.stats.shard_batch_ops = vec![0; s.shards.len()];
         s
     }
 
@@ -974,8 +759,7 @@ mod tests {
         assert_eq!(OrderedSet::len(&s), keys.len());
         assert_eq!(RangeSet::to_vec(&s), keys);
         assert!(s.rebalance_stats().skew_rebalances >= 1);
-        assert_eq!(s.rebalance_stats().grows, 0, "default tuning is pinned");
-        // The pinned default never reshards: count is still N.
+        // Rebalance moves splitters, never the count.
         assert_eq!(s.shard_count(), 4);
     }
 
@@ -987,63 +771,6 @@ mod tests {
         assert_eq!(OrderedSet::len(&s), 3);
         assert_eq!(s.remove_batch_sorted(&[2, 9]), 1);
         assert_eq!(RangeSet::to_vec(&s), vec![1, 3]);
-    }
-
-    #[test]
-    fn autotune_grows_and_shrinks_between_bounds() {
-        let mut s: ShardedSet<BTreeSet<u64>, 2, 1, 16> = BatchSet::new_set();
-        // Mean occupancy far above 2× target: doubles once per batch
-        // until the bound or the hysteresis band is reached.
-        let keys: Vec<u64> = (0..40_000).collect();
-        s.insert_batch_sorted(&keys);
-        let first = s.shard_count();
-        assert!(first > 2, "expected growth, still at {first}");
-        assert!(first <= 16);
-        assert_eq!(RangeSet::to_vec(&s), keys);
-        // More batches walk it further up while occupancy stays high.
-        s.insert_batch_sorted(&[40_000, 40_001]);
-        s.insert_batch_sorted(&[40_002]);
-        let grown = s.shard_count();
-        assert!(grown >= first && grown <= 16);
-        assert!(s.rebalance_stats().grows >= 1);
-        // Drain the set: mean occupancy below target/2 halves the count
-        // (the big remove batch itself fills the traffic window shrink
-        // waits for).
-        s.remove_batch_sorted(&(0..40_003).collect::<Vec<u64>>());
-        assert!(s.shard_count() < grown, "expected shrink from {grown}");
-        assert!(s.rebalance_stats().shrinks >= 1);
-        assert!(OrderedSet::is_empty(&s));
-    }
-
-    #[test]
-    fn set_tuning_clamps_out_of_bounds_count() {
-        let mut s: ShardedSet<BTreeSet<u64>, 8> = BatchSet::new_set();
-        assert_eq!(s.shard_count(), 8);
-        s.set_tuning(ShardTuning::fixed(2)).unwrap();
-        s.insert_batch_sorted(&[1, 2, 3]);
-        assert_eq!(s.shard_count(), 2, "clamp to the new bounds");
-        assert_eq!(RangeSet::to_vec(&s), vec![1, 2, 3]);
-        assert!(s.set_tuning(ShardTuning::auto(0, 4)).is_err());
-        assert!(s.set_tuning(ShardTuning::auto(4, 2)).is_err());
-    }
-
-    #[test]
-    fn hot_traffic_window_triggers_growth() {
-        let mut s: ShardedSet<BTreeSet<u64>, 4, 4, 8> = BatchSet::new_set();
-        // Small set (never over-occupied), but ascending key batches land
-        // in one shard's range every round: the traffic window alone must
-        // trigger the doubling.
-        for round in 0..12u64 {
-            let batch: Vec<u64> = (round * 256..(round + 1) * 256).collect();
-            s.insert_batch_sorted(&batch);
-        }
-        assert!(
-            s.rebalance_stats().grows >= 1,
-            "hot-shard traffic should have grown the count: {}",
-            s.rebalance_stats().summary()
-        );
-        assert_eq!(s.shard_count(), 8, "doubled to the max bound");
-        assert_eq!(RangeSet::to_vec(&s), (0..12 * 256).collect::<Vec<u64>>());
     }
 
     #[test]

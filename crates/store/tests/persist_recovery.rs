@@ -10,7 +10,7 @@ use cpma_api::testkit::Rng;
 use cpma_api::{BatchSet, OrderedSet, Persist, PersistError, RangeSet};
 use cpma_persist::{recover, FsyncPolicy, WalConfig};
 use cpma_pma::Cpma;
-use cpma_store::{Combiner, CombinerConfig, Op, ShardTuning, ShardedSet};
+use cpma_store::{Combiner, CombinerConfig, Op, ShardedSet};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -286,38 +286,82 @@ fn rotation_and_recovery_on_sharded_stack() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The shard-per-file checkpoint format: whole-structure roundtrip, and
-/// typed errors for a corrupted manifest, a missing shard, and a foreign
-/// snapshot posing as a manifest.
+/// Rewrite one u64 of a sharded manifest's meta (the shard count is a
+/// u32 at offset 0, then the three legacy tuning fields), keeping the
+/// checksums valid.
+fn with_manifest_field(bytes: &[u8], field: usize, value: u64) -> Vec<u8> {
+    use cpma_persist::snapshot::SnapshotEnvelope;
+    let mut env = SnapshotEnvelope::from_bytes(bytes).unwrap();
+    let at = 4 + field * 8;
+    env.meta[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    env.to_bytes()
+}
+
+/// The shard-per-file checkpoint format: whole-structure roundtrip, stale
+/// shard files cleared on re-save, legacy manifests from autotuned sets,
+/// and typed errors for a corrupted manifest, a missing shard, and a
+/// foreign snapshot posing as a manifest.
 #[test]
 fn sharded_manifest_roundtrip_and_corruption() {
     let dir = tmp_dir("manifest");
-    let mut set: ShardedSet<Cpma, 4> = BatchSet::new_set();
-    set.set_tuning(ShardTuning::auto(2, 16)).unwrap();
+    let mut set: ShardedSet<Cpma, 8> = BatchSet::new_set();
     let keys: Vec<u64> = (0..30_000u64).map(|i| i * 3 + 1).collect();
     set.insert_batch_sorted(&keys);
     let path = dir.join("ckpt");
     set.save(&path).unwrap();
 
+    // The loader's N is not consulted: the recorded count wins.
     let back = ShardedSet::<Cpma, 4>::load(&path).unwrap();
     assert_eq!(back.to_vec(), set.to_vec());
-    assert_eq!(back.shard_count(), set.shard_count());
+    assert_eq!(back.shard_count(), 8);
     assert_eq!(back.splitters(), set.splitters());
-    assert_eq!(back.tuning(), set.tuning());
 
-    // Re-save after shrinking must clear stale shard files.
-    let mut shrunk = back;
-    shrunk.set_tuning(ShardTuning::fixed(2)).unwrap();
-    shrunk.remove_batch_sorted(&keys);
-    shrunk.insert_batch_sorted(&[7, 9]);
-    shrunk.save(&path).unwrap();
+    // A narrower set saved into the same path must clear the stale shard
+    // files of the wider one.
+    let narrow: ShardedSet<Cpma, 2> = BatchSet::build_sorted(&[7, 9]);
+    narrow.save(&path).unwrap();
+    let shard_files = std::fs::read_dir(&path)
+        .unwrap()
+        .filter(|e| {
+            e.as_ref()
+                .unwrap()
+                .file_name()
+                .to_string_lossy()
+                .starts_with("shard-")
+        })
+        .count();
+    assert_eq!(shard_files, 2, "stale shard files survived the re-save");
     let reloaded = ShardedSet::<Cpma, 4>::load(&path).unwrap();
     assert_eq!(reloaded.to_vec(), vec![7, 9]);
-    assert_eq!(reloaded.shard_count(), shrunk.shard_count());
+    assert_eq!(reloaded.shard_count(), 2);
 
-    // Manifest byte flips: typed error, never a panic.
+    // Legacy manifests: autotuned sets recorded min/max bounds and an
+    // occupancy target. Any values the old loader accepted still load
+    // (and are ignored); the ones it rejected stay typed errors.
     let manifest = path.join("MANIFEST");
     let good = std::fs::read(&manifest).unwrap();
+    assert_eq!(with_manifest_field(&good, 0, 2), good, "min = count");
+    assert_eq!(with_manifest_field(&good, 1, 2), good, "max = count");
+    assert_eq!(with_manifest_field(&good, 2, 1024), good, "target = 1024");
+    for (field, value) in [(0, 1), (1, 64), (2, 1), (2, 1 << 20)] {
+        std::fs::write(&manifest, with_manifest_field(&good, field, value)).unwrap();
+        let legacy = ShardedSet::<Cpma, 4>::load(&path).unwrap();
+        assert_eq!(legacy.to_vec(), vec![7, 9], "field {field} = {value}");
+        assert_eq!(legacy.shard_count(), 2);
+    }
+    for (field, value) in [(0, 0), (1, 1), (2, 0)] {
+        std::fs::write(&manifest, with_manifest_field(&good, field, value)).unwrap();
+        assert!(
+            matches!(
+                ShardedSet::<Cpma, 4>::load(&path),
+                Err(PersistError::Config(_))
+            ),
+            "field {field} = {value}"
+        );
+    }
+    std::fs::write(&manifest, &good).unwrap();
+
+    // Manifest byte flips: typed error, never a panic.
     for i in 0..good.len() {
         let mut bad = good.clone();
         bad[i] ^= 0x10;

@@ -32,24 +32,12 @@ fn sharded_pma_and_btreeset_pass_the_contract() {
 }
 
 #[test]
-fn autotuned_sharded_cpma_passes_the_contract() {
-    // With resharding enabled (bounds 2..=32) the wrapper must still be
-    // externally indistinguishable from the abstract set: the contract's
-    // 30k-element mixed workload drives several grow passes.
-    assert_ordered_set_contract::<ShardedSet<Cpma, 4, 2, 32>>(0xA570);
-    // Bounds that force an immediate clamp away from N are legal too.
-    assert_ordered_set_contract::<ShardedSet<Cpma, 8, 1, 2>>(0xA571);
-}
-
-#[test]
-fn resharding_round_trip_grows_then_shrinks() {
-    type Auto = ShardedSet<Cpma, 4, 2, 32>;
-    let mut s: Auto = BatchSet::new_set();
+fn sharded_cpma_fill_drain_refill_matches_the_oracle() {
+    // A pinned count across a fill, a drain to 100 keys and a refill;
+    // the contents must match the oracle after each step.
+    let mut s: ShardedSet<Cpma, 16> = BatchSet::new_set();
     let mut model: BTreeSet<u64> = BTreeSet::new();
-    assert_eq!(s.shard_count(), 4);
 
-    // Grow: three large batches walk the count up (one doubling per
-    // rebalance pass while the mean occupancy stays above 2× target).
     let mut rng = Rng::new(0x6707);
     for _ in 0..3 {
         let batch = rng.sorted_batch(30_000, 26);
@@ -57,11 +45,11 @@ fn resharding_round_trip_grows_then_shrinks() {
         let want = batch.iter().filter(|&&k| model.insert(k)).count();
         assert_eq!(added, want);
     }
-    let grown = s.shard_count();
-    assert!(grown > 4, "expected growth past the initial 4, got {grown}");
-    assert!(grown <= 32);
+    // 26-bit keys all route to shard 0 under the empty set's domain
+    // splitters, so the first batch re-learns them; the count stays.
+    assert_eq!(s.shard_count(), 16);
     let stats = s.rebalance_stats();
-    assert!(stats.grows >= 1, "{}", stats.summary());
+    assert!(stats.skew_rebalances >= 1, "{}", stats.summary());
     assert!(
         stats.post_rebalance_imbalance_permille >= 1000,
         "imbalance is fullest/mean, so ≥ 1000‰ by definition: {}",
@@ -70,21 +58,16 @@ fn resharding_round_trip_grows_then_shrinks() {
     assert_eq!(
         RangeSet::to_vec(&s),
         model.iter().copied().collect::<Vec<_>>(),
-        "contents after growth"
+        "contents after the fill"
     );
 
-    // Shrink: drain almost everything; the big remove batch both fills
-    // the traffic window and pushes occupancy below target/2.
     let all: Vec<u64> = model.iter().copied().collect();
     let (keep, kill) = all.split_at(100);
     assert_eq!(s.remove_batch_sorted(kill), kill.len());
     for k in kill {
         model.remove(k);
     }
-    let shrunk = s.shard_count();
-    assert!(shrunk < grown, "expected shrink from {grown}, got {shrunk}");
-    assert!(shrunk >= 2);
-    assert!(s.rebalance_stats().shrinks >= 1);
+    assert_eq!(s.shard_count(), 16);
 
     // The survivor still behaves: point queries, ranges, and further
     // batches all agree with the oracle after the round trip.
@@ -108,7 +91,7 @@ fn resharding_round_trip_grows_then_shrinks() {
     assert_eq!(
         RangeSet::to_vec(&s),
         model.iter().copied().collect::<Vec<_>>(),
-        "contents after regrowth"
+        "contents after the refill"
     );
 }
 

@@ -39,11 +39,11 @@ fn main() {
     cpma::obs::install_panic_hook();
 
     // Self-tuning store: each combining epoch takes whatever bursts piled
-    // up while the previous one applied (no window knob to guess), the
-    // shard count autotunes between 1 and 64 as the store fills, and
-    // every snapshot covers all epochs applied before it, so every
-    // acknowledged burst is visible to the analytics reader.
-    let store: Combiner<ShardedSet<Cpma, 8, 1, 64>> =
+    // up while the previous one applied (no window knob to guess), eight
+    // shards re-learn their splitters as the key range moves, and every
+    // snapshot covers all epochs applied before it, so every acknowledged
+    // burst is visible to the analytics reader.
+    let store: Combiner<ShardedSet<Cpma, 8>> =
         Combiner::with_config(BatchSet::new_set(), CombinerConfig::default());
     let ingested = AtomicUsize::new(0);
     let finished_writers = AtomicUsize::new(0);
@@ -154,7 +154,7 @@ fn main() {
     );
 
     // --- durability: checkpoint → simulated crash → recover -----------
-    type Store = ShardedSet<Cpma, 8, 1, 64>;
+    type Store = ShardedSet<Cpma, 8>;
     println!("\n-- durability: checkpoint -> crash -> recover --");
     let wal_dir = std::env::temp_dir().join(format!("key-store-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&wal_dir);

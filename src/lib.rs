@@ -54,11 +54,10 @@
 //!   of the backend-generic [`fgraph::SetGraph`], the baseline graph
 //!   containers, a CSR reference, and a Ligra-style algorithm layer;
 //! * [`store`] — the concurrent front-end: [`store::ShardedSet`]
-//!   (range-partitioned shards, batches split at learned splitters and
-//!   applied shard-parallel, shard count autotuned from its
-//!   [`store::RebalanceStats`]) and [`store::Combiner`] (flat-combining
-//!   writer aggregation with reactive combining and demand-published
-//!   snapshots), which together
+//!   (a fixed count of range-partitioned shards, batches split at learned
+//!   splitters and applied shard-parallel, splitters re-learned on skew)
+//!   and [`store::Combiner`] (flat-combining writer aggregation with
+//!   reactive combining and demand-published snapshots), which together
 //!   turn live multi-threaded traffic into the batch-parallel updates the
 //!   paper's structures are built for — `docs/ARCHITECTURE.md` maps the
 //!   whole stack and `docs/TUNING.md` explains every knob;
@@ -105,7 +104,5 @@ pub mod prelude {
     pub use crate::persist::{FsyncPolicy, RecoveryReport, WalConfig};
     pub use crate::pma::{Cpma, Pma, PmaConfig};
     pub use crate::service::{Client, Service, ServiceConfig};
-    pub use crate::store::{
-        Combiner, CombinerConfig, CombinerStats, RebalanceStats, ShardTuning, ShardedSet,
-    };
+    pub use crate::store::{Combiner, CombinerConfig, CombinerStats, RebalanceStats, ShardedSet};
 }
